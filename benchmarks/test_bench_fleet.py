@@ -29,8 +29,7 @@ than serial).
 
 The grid pins ``train_seed`` and sweeps the master seed, so every shard
 replays its own evaluation faultload against one shared training
-configuration — the multi-seed design :func:`replicate_closed_loop`
-used to run serially, now sharded.
+configuration: one trained predictor against many faultloads, sharded.
 
 Shard and worker counts are env-tunable so the CI smoke job can run a
 small grid: ``FLEET_BENCH_SHARDS`` (default 16), ``FLEET_BENCH_WORKERS``

@@ -14,10 +14,8 @@ from repro.core.blueprint import BlueprintArchitecture, Layer, LayerPredictor
 from repro.core.controller import PFMController
 from repro.core.experiment import (
     ClosedLoopResult,
-    ReplicatedResult,
     TTRComparison,
     measure_repair_improvement,
-    replicate_closed_loop,
     run_closed_loop,
 )
 from repro.core.mea import EvaluationResult, MEACycle, MEARecord, StepFailure
@@ -29,10 +27,8 @@ __all__ = [
     "LayerPredictor",
     "PFMController",
     "ClosedLoopResult",
-    "ReplicatedResult",
     "TTRComparison",
     "measure_repair_improvement",
-    "replicate_closed_loop",
     "run_closed_loop",
     "EvaluationResult",
     "MEACycle",

@@ -10,7 +10,6 @@ Table 1 behaviour matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from repro.actions.checkpoint import PreparedRepairAction, RepairBreakdown
 from repro.core.controller import PFMController
 from repro.fleet.spec import RunSpec
-from repro.prediction.base import SymptomPredictor
+from repro.prediction.base import Predictor
 from repro.prediction.registry import make_predictor
 from repro.simulator.events import Timeout
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
@@ -80,21 +79,11 @@ class ClosedLoopResult:
         return "\n".join(lines)
 
 
-def _default_predictor(rng: np.random.Generator) -> SymptomPredictor:
-    """A fast UBF configuration for the online controller.
-
-    Thin wrapper over the declarative registry — ``"ubf"`` with its
-    defaults IS this configuration, so fleet grids naming ``ubf``
-    reproduce historical closed-loop runs exactly.
-    """
-    return make_predictor("ubf", rng=rng)
-
-
 def train_predictor(
     config: DatasetConfig,
     variables: list[str] | None = None,
-    predictor: SymptomPredictor | None = None,
-) -> tuple[SymptomPredictor, np.ndarray]:
+    predictor: Predictor | None = None,
+) -> tuple[Predictor, np.ndarray]:
     """Fit and threshold-calibrate a predictor on a training simulation.
 
     Works for any unified :class:`~repro.prediction.base.Predictor`: the
@@ -107,7 +96,11 @@ def train_predictor(
     """
     variables = variables or DEFAULT_VARIABLES
     dataset = prepare_simulation(config).run()
-    predictor = predictor or _default_predictor(np.random.default_rng(config.seed))
+    # Default: the fast online UBF configuration the controller has
+    # always used ("ubf" with its registry defaults).
+    predictor = predictor or make_predictor(
+        "ubf", rng=np.random.default_rng(config.seed)
+    )
     consumes = getattr(predictor, "consumes", frozenset({"samples"}))
     data = dataset.training_data(
         variables=variables,
@@ -118,90 +111,6 @@ def train_predictor(
     scores = predictor.score_batch(data.batch())
     predictor.calibrate_threshold(scores, data.labels)
     return predictor, scores
-
-
-@dataclass
-class ReplicatedResult:
-    """Closed-loop results over several evaluation seeds."""
-
-    results: list[ClosedLoopResult]
-
-    def _stats(self, values: list[float]) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std())
-
-    @property
-    def mean_unavailability_ratio(self) -> float:
-        """Mean measured Eq. 14 ratio across replicates."""
-        return self._stats([r.unavailability_ratio for r in self.results])[0]
-
-    @property
-    def std_unavailability_ratio(self) -> float:
-        """Standard deviation of the measured ratio across replicates."""
-        return self._stats([r.unavailability_ratio for r in self.results])[1]
-
-    @property
-    def always_improves(self) -> bool:
-        """True when PFM reduced unavailability on every replicate."""
-        return all(r.unavailability_ratio < 1.0 for r in self.results)
-
-    def summary(self) -> str:
-        ratios = [r.unavailability_ratio for r in self.results]
-        lines = [
-            f"replicates: {len(self.results)}",
-            "per-seed unavailability ratios: "
-            + ", ".join(f"{r:.3f}" for r in ratios),
-            (
-                f"mean ratio = {self.mean_unavailability_ratio:.3f} "
-                f"+/- {self.std_unavailability_ratio:.3f}"
-            ),
-        ]
-        return "\n".join(lines)
-
-
-def replicate_closed_loop(
-    eval_seeds: list[int],
-    train_seed: int = 11,
-    horizon: float = 2 * 86_400.0,
-    variables: list[str] | None = None,
-    config: DatasetConfig | None = None,
-) -> ReplicatedResult:
-    """Run the closed-loop comparison over several faultload seeds.
-
-    One predictor is trained once (on ``train_seed``) and evaluated against
-    every seed's faultload -- separating predictor luck from faultload
-    luck.
-
-    .. deprecated::
-        Superseded by :func:`repro.fleet.run_fleet`, which runs the same
-        multi-seed design sharded across workers with checkpoint/resume
-        (pin ``train_seed`` and ``eval_seed`` on the specs to reproduce
-        this exact layout).  This shim keeps the old serial behaviour.
-    """
-    warnings.warn(
-        "replicate_closed_loop is deprecated; use repro.fleet.run_fleet "
-        "with RunSpec(scenario='closed-loop', train_seed=..., eval_seed=...) "
-        "shards instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not eval_seeds:
-        raise ValueError("need at least one evaluation seed")
-    base_config = config or DatasetConfig()
-    train_config = replace(base_config, seed=train_seed, horizon=horizon)
-    trained = train_predictor(train_config, variables or DEFAULT_VARIABLES)
-    results = [
-        run_closed_loop(
-            train_seed=train_seed,
-            eval_seed=seed,
-            horizon=horizon,
-            variables=variables,
-            config=config,
-            trained=trained,
-        )
-        for seed in eval_seeds
-    ]
-    return ReplicatedResult(results=results)
 
 
 @dataclass
@@ -340,9 +249,9 @@ def run_closed_loop(
     eval_seed: int = 21,
     horizon: float = 4 * 86_400.0,
     variables: list[str] | None = None,
-    predictor: SymptomPredictor | None = None,
+    predictor: Predictor | None = None,
     config: DatasetConfig | None = None,
-    trained: tuple[SymptomPredictor, np.ndarray] | None = None,
+    trained: tuple[Predictor, np.ndarray] | None = None,
     telemetry=None,
     spec: RunSpec | None = None,
 ) -> ClosedLoopResult:
@@ -356,11 +265,11 @@ def run_closed_loop(
     with a spec.
 
     Pass ``trained = (fitted_predictor, training_scores)`` to skip the
-    training simulation (used by :func:`replicate_closed_loop`).  Pass a
-    :class:`~repro.telemetry.hub.TelemetryHub` as ``telemetry`` to
-    instrument the PFM run (spans, events and live quality gauges); the
-    hub is finalized (pending predictions settled, ``run.end`` emitted)
-    before this returns.
+    training simulation (fleet shards sharing one trained model do
+    this).  Pass a :class:`~repro.telemetry.hub.TelemetryHub` as
+    ``telemetry`` to instrument the PFM run (spans, events and live
+    quality gauges); the hub is finalized (pending predictions settled,
+    ``run.end`` emitted) before this returns.
     """
     if spec is not None:
         seeds = spec.seeds()

@@ -44,7 +44,6 @@ The original loop implementations are preserved verbatim behind
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -97,8 +96,7 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Vectorized inference kernels (module-level so worker processes can run
-# them without pickling a full model).
+# Vectorized inference kernels.
 # ----------------------------------------------------------------------
 
 
@@ -185,35 +183,6 @@ def _backward_pass(
         eta[t + 1] = _lse(terms, axis=0)
         beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
     return beta, eta
-
-
-def _ll_chunk_worker(payload: tuple) -> list[float]:
-    """Score a chunk of sequences in a worker process.
-
-    Receives plain parameter arrays (never a model instance), so it works
-    for models whose duration factories are unpicklable closures.
-    """
-    log_pi, log_a, log_b, log_d, max_duration, chunk = payload
-    out: list[float] = []
-    for obs in chunk:
-        cum = np.cumsum(log_b[:, obs].T, axis=0)
-        alpha, _ = _forward_pass(obs, log_pi, log_a, log_d, cum, max_duration)
-        out.append(float(logsumexp(alpha[-1])))
-    return out
-
-
-def _restart_worker(payload: tuple) -> tuple[list[float], tuple]:
-    """Run one randomized EM restart in a worker process."""
-    model, observations, fit_kwargs, seed = payload
-    model._randomize(np.random.default_rng(seed))
-    trace = model.fit(observations, n_restarts=1, n_jobs=1, **fit_kwargs)
-    state = (
-        model.initial,
-        model.transition,
-        model.emission,
-        model.durations,
-    )
-    return trace, state
 
 
 class HiddenSemiMarkovModel:
@@ -433,49 +402,21 @@ class HiddenSemiMarkovModel:
         alpha = self._forward_table(obs)
         return float(logsumexp(alpha[-1]))
 
-    def log_likelihood_batch(
-        self, sequences: Sequence[Sequence[int]], n_jobs: int = 1
-    ) -> np.ndarray:
+    def log_likelihood_batch(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
         """Log-likelihood of every sequence, sharing one parameter build.
 
         The log-parameter tables and the strategy dispatch are resolved
-        once for the whole batch; with ``n_jobs > 1`` the sequences are
-        scored by a pool of worker processes (worth it only for many or
-        long sequences -- process startup costs milliseconds).  Workers
-        receive plain parameter arrays, so parallel scoring works even
-        when the duration factory is an unpicklable closure.
+        once for the whole batch, then each sequence runs the forward pass.
         """
         observations = [self._check_sequence(seq) for seq in sequences]
         if not observations:
             return np.empty(0)
         params = self._log_params()
-        if n_jobs > 1 and len(observations) > 1 and self.strategy != "reference":
-            try:
-                return self._batch_parallel(observations, params, n_jobs)
-            except Exception:  # pfmlint: disable=PFM009 -- best-effort speedup: any pool failure (e.g. sandboxed) falls through to the identical serial path below
-                pass
         out = np.empty(len(observations))
         for i, obs in enumerate(observations):
             cum = self._segment_emissions(obs, params.log_b)
             alpha = self._forward_table(obs, params=params, cum=cum)
             out[i] = logsumexp(alpha[-1])
-        return out
-
-    def _batch_parallel(
-        self, observations: list[np.ndarray], params: LogParams, n_jobs: int
-    ) -> np.ndarray:
-        n_jobs = min(int(n_jobs), len(observations))
-        chunks = [observations[k::n_jobs] for k in range(n_jobs)]
-        payloads = [
-            (params.log_pi, params.log_a, params.log_b, params.log_d,
-             self.max_duration, chunk)
-            for chunk in chunks if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_ll_chunk_worker, payloads))
-        out = np.empty(len(observations))
-        for k, part in enumerate(parts):
-            out[k::n_jobs] = part
         return out
 
     def viterbi(self, sequence: Sequence[int]) -> list[Segment]:
@@ -587,7 +528,6 @@ class HiddenSemiMarkovModel:
         n_restarts: int = 1,
         restart_rng: np.random.Generator | None = None,
         algorithm: str = "hard",
-        n_jobs: int = 1,
     ) -> list[float]:
         """Train the model; returns the per-iteration score trace.
 
@@ -597,13 +537,6 @@ class HiddenSemiMarkovModel:
         (the trace is the true total log-likelihood, non-decreasing).
         Both converge to local optima, so ``n_restarts > 1`` re-randomizes
         the parameters and keeps the best-scoring solution.
-
-        ``n_jobs > 1`` runs the restarts in parallel worker processes.
-        Restart randomization then comes from per-restart seeds drawn
-        up-front from ``restart_rng`` (deterministic for a fixed rng, but
-        a different stream than the serial path); if the model cannot be
-        shipped to workers (e.g. a lambda duration factory), the restarts
-        silently run serially with the same seeds.
         """
         if algorithm not in ("hard", "soft"):
             raise ModelError(f"unknown algorithm {algorithm!r}")
@@ -611,11 +544,6 @@ class HiddenSemiMarkovModel:
             raise ModelError("n_restarts must be >= 1")
         if n_restarts > 1:
             rng = ensure_rng(restart_rng, default_seed=0)
-            if n_jobs > 1:
-                return self._fit_restarts_parallel(
-                    sequences, max_iter, tol, pseudocount, n_restarts,
-                    rng, algorithm, n_jobs,
-                )
             best_score = -np.inf
             best_state: tuple | None = None
             best_trace: list[float] = []
@@ -646,50 +574,6 @@ class HiddenSemiMarkovModel:
         if algorithm == "soft":
             return self._fit_soft(observations, max_iter, tol, pseudocount)
         return self._fit_hard(observations, max_iter, tol, pseudocount)
-
-    def _fit_restarts_parallel(
-        self,
-        sequences: Sequence[Sequence[int]],
-        max_iter: int,
-        tol: float,
-        pseudocount: float,
-        n_restarts: int,
-        rng: np.random.Generator,
-        algorithm: str,
-        n_jobs: int,
-    ) -> list[float]:
-        observations = [self._check_sequence(seq) for seq in sequences]
-        if not observations:
-            raise ModelError("need at least one training sequence")
-        seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_restarts)]
-        fit_kwargs = {
-            "max_iter": max_iter,
-            "tol": tol,
-            "pseudocount": pseudocount,
-            "algorithm": algorithm,
-        }
-        results: list[tuple[list[float], tuple]] = []
-        try:
-            payloads = [
-                (self.clone(), observations, fit_kwargs, seed) for seed in seeds
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, n_restarts)
-            ) as pool:
-                results = list(pool.map(_restart_worker, payloads))
-        except Exception:
-            # Unpicklable model or no process pool available: same seeds,
-            # serial execution.
-            results = []
-            for seed in seeds:
-                worker_model = self.clone()
-                results.append(
-                    _restart_worker((worker_model, observations, fit_kwargs, seed))
-                )
-        best_trace, best_state = max(results, key=lambda item: item[0][-1])
-        self.initial, self.transition, self.emission, self.durations = best_state
-        self._fitted = True
-        return best_trace
 
     def _fit_hard(
         self,
@@ -939,7 +823,7 @@ class HiddenSemiMarkovModel:
             raise NotFittedError("HSMM has not been fitted")
 
     def clone(self) -> "HiddenSemiMarkovModel":
-        """Deep copy (useful for restarts and model comparison)."""
+        """Deep copy (useful for model comparison)."""
         return copy.deepcopy(self)
 
     # ------------------------------------------------------------------

@@ -28,13 +28,11 @@ from repro.prediction.arbitration import (
 )
 from repro.prediction.base import (
     EventPredictor,
-    EventPredictorAdapter,
     Prediction,
     PredictionBatch,
     Predictor,
     PredictorInfo,
     SymptomPredictor,
-    SymptomPredictorAdapter,
     TrainingData,
     as_predictor,
 )
@@ -74,13 +72,11 @@ __all__ = [
     "FaultTypeClassifier",
     "OnlineEventScorer",
     "EventPredictor",
-    "EventPredictorAdapter",
     "Prediction",
     "PredictionBatch",
     "Predictor",
     "PredictorInfo",
     "SymptomPredictor",
-    "SymptomPredictorAdapter",
     "TrainingData",
     "as_predictor",
     "ContingencyTable",

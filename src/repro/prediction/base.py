@@ -18,14 +18,11 @@ unified :class:`Predictor` protocol collapses the duality:
 - ``score_batch(batch)`` scores a :class:`PredictionBatch` (or a bare
   feature matrix / sequence list) into one score per example.
 
-Both existing ABCs now *are* unified predictors: they implement
+Both family ABCs *are* unified predictors: they implement
 ``fit``/``score_batch`` by delegating to the family-specific hooks
 (:meth:`SymptomPredictor.fit_samples`,
-:meth:`EventPredictor.fit_sequences`).  The legacy signatures
-(``fit(x, y)`` on symptom predictors, ``fit(failure, nonfailure)`` on
-event predictors) keep working through deprecation-warned shims.
-Duck-typed third-party predictors that only speak one family dialect are
-wrapped by :func:`as_predictor`.
+:meth:`EventPredictor.fit_sequences`), which every subclass implements.
+``fit`` takes only a :class:`TrainingData` bundle.
 
 Every predictor produces a continuous failure-proneness *score* per
 input; a warning is raised when the score crosses the predictor's
@@ -36,7 +33,6 @@ threshold, which is the knob trading precision against recall
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +45,6 @@ from repro.prediction.thresholds import max_f_threshold
 #: Input modalities a predictor can declare in :attr:`Predictor.consumes`.
 SAMPLES = "samples"
 SEQUENCES = "sequences"
-
-
-def _warn_legacy(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -303,41 +291,24 @@ class SymptomPredictor(Predictor):
     """Predictor over periodic monitoring feature vectors.
 
     Subclasses implement :meth:`fit_samples` and :meth:`score_samples`;
-    the unified ``fit``/``score_batch`` surface delegates to them.  The
-    legacy ``fit(x, y)`` call form still works (deprecation-warned).
+    the unified ``fit``/``score_batch`` surface delegates to them.
     """
 
     consumes = frozenset({SAMPLES})
 
-    def fit(self, data, y: np.ndarray | None = None) -> "SymptomPredictor":
-        """Train on a :class:`TrainingData` bundle (or legacy ``(x, y)``)."""
-        if isinstance(data, TrainingData):
-            return self.fit_samples(
-                data.x if data.x is not None else np.empty((0, 0)), data.target()
-            )
-        _warn_legacy(
-            "SymptomPredictor.fit(x, y)",
-            "fit(TrainingData.from_samples(x, y)) or fit_samples(x, y)",
+    def fit(self, data: TrainingData) -> "SymptomPredictor":
+        """Train on a :class:`TrainingData` bundle."""
+        return self.fit_samples(
+            data.x if data.x is not None else np.empty((0, 0)), data.target()
         )
-        return self.fit_samples(data, y)
 
+    @abc.abstractmethod
     def fit_samples(self, x: np.ndarray, y: np.ndarray) -> "SymptomPredictor":
         """Train on feature matrix ``x`` and target ``y``.
 
         ``y`` may be continuous (e.g. interval availability) or boolean
-        failure labels, depending on the method.  Subclasses override
-        this hook; legacy subclasses that still override ``fit(x, y)``
-        directly are delegated to (deprecation-warned).
+        failure labels, depending on the method.
         """
-        if type(self).fit is not SymptomPredictor.fit:
-            _warn_legacy(
-                f"overriding {type(self).__name__}.fit(x, y)",
-                "overriding fit_samples(x, y)",
-            )
-            return type(self).fit(self, x, y)
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement fit_samples(x, y)"
-        )
 
     @abc.abstractmethod
     def score_samples(self, x: np.ndarray) -> np.ndarray:
@@ -368,47 +339,23 @@ class EventPredictor(Predictor):
     Subclasses implement :meth:`fit_sequences` and :meth:`score_sequence`
     (optionally overriding :meth:`score_sequences` with a batched path, as
     the HSMM does); the unified ``fit``/``score_batch`` surface delegates
-    to them.  The legacy ``fit(failure, nonfailure)`` call form still
-    works (deprecation-warned).
+    to them.
     """
 
     consumes = frozenset({SEQUENCES})
 
-    def fit(
-        self,
-        data,
-        nonfailure_sequences: list[EventSequence] | None = None,
-    ) -> "EventPredictor":
-        """Train on a :class:`TrainingData` bundle (or legacy lists)."""
-        if isinstance(data, TrainingData):
-            failure, nonfailure = data.sequence_classes()
-            return self.fit_sequences(failure, nonfailure)
-        _warn_legacy(
-            "EventPredictor.fit(failure_sequences, nonfailure_sequences)",
-            "fit(TrainingData.from_sequences(...)) or fit_sequences(...)",
-        )
-        return self.fit_sequences(data, nonfailure_sequences)
+    def fit(self, data: TrainingData) -> "EventPredictor":
+        """Train on a :class:`TrainingData` bundle."""
+        failure, nonfailure = data.sequence_classes()
+        return self.fit_sequences(failure, nonfailure)
 
+    @abc.abstractmethod
     def fit_sequences(
         self,
         failure_sequences: list[EventSequence],
         nonfailure_sequences: list[EventSequence],
     ) -> "EventPredictor":
-        """Train on labeled error sequences (Fig. 6).
-
-        Subclasses override this hook; legacy subclasses that still
-        override ``fit(failure, nonfailure)`` directly are delegated to
-        (deprecation-warned).
-        """
-        if type(self).fit is not EventPredictor.fit:
-            _warn_legacy(
-                f"overriding {type(self).__name__}.fit(failure, nonfailure)",
-                "overriding fit_sequences(failure, nonfailure)",
-            )
-            return type(self).fit(self, failure_sequences, nonfailure_sequences)
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement fit_sequences(...)"
-        )
+        """Train on labeled error sequences (Fig. 6)."""
 
     @abc.abstractmethod
     def score_sequence(self, sequence: EventSequence) -> float:
@@ -469,120 +416,18 @@ class EventPredictor(Predictor):
         return scores, labels
 
 
-# ----------------------------------------------------------------------
-# Adapters: duck-typed family predictors -> unified protocol
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class SymptomPredictorAdapter(Predictor):
-    """Unified view over any object speaking the symptom dialect.
-
-    The inner object only needs ``score_samples(x)`` (plus, to be
-    trainable, a two-argument fit — ``fit_samples(x, y)`` or legacy
-    ``fit(x, y)``) and a ``threshold``.
-    """
-
-    inner: object = None
-    consumes = frozenset({SAMPLES})
-
-    def __post_init__(self) -> None:
-        super().__init__()
-        self.info = getattr(
-            self.inner, "info", PredictorInfo(type(self.inner).__name__, "adapter")
-        )
-
-    def fit(self, data: TrainingData) -> "SymptomPredictorAdapter":
-        trainer = getattr(self.inner, "fit_samples", None) or self.inner.fit
-        trainer(data.x, data.target())
-        self._fitted = True
-        return self
-
-    def score_batch(self, batch) -> np.ndarray:
-        return np.asarray(
-            self.inner.score_samples(
-                PredictionBatch.coerce(batch).require_x(type(self.inner).__name__)
-            )
-        )
-
-    @property
-    def threshold(self) -> float:  # delegate: one knob, not two
-        return self.inner.threshold
-
-    @threshold.setter
-    def threshold(self, value: float) -> None:
-        self.inner.threshold = float(value)
-
-
-@dataclass
-class EventPredictorAdapter(Predictor):
-    """Unified view over any object speaking the event dialect.
-
-    Scoring goes through the inner ``score_sequences`` batch entry point
-    when it exists (so batched implementations like the HSMM's
-    ``log_likelihood_batch`` path are used), falling back to a
-    ``score_sequence`` loop.
-    """
-
-    inner: object = None
-    consumes = frozenset({SEQUENCES})
-
-    def __post_init__(self) -> None:
-        super().__init__()
-        self.info = getattr(
-            self.inner, "info", PredictorInfo(type(self.inner).__name__, "adapter")
-        )
-
-    def fit(self, data: TrainingData) -> "EventPredictorAdapter":
-        failure, nonfailure = data.sequence_classes()
-        trainer = getattr(self.inner, "fit_sequences", None) or self.inner.fit
-        trainer(failure, nonfailure)
-        self._fitted = True
-        return self
-
-    def score_batch(self, batch) -> np.ndarray:
-        sequences = PredictionBatch.coerce(batch).require_sequences(
-            type(self.inner).__name__
-        )
-        batched = getattr(self.inner, "score_sequences", None)
-        if batched is not None:
-            return np.asarray(batched(sequences))
-        return np.asarray([self.inner.score_sequence(s) for s in sequences])
-
-    @property
-    def threshold(self) -> float:
-        return self.inner.threshold
-
-    @threshold.setter
-    def threshold(self, value: float) -> None:
-        self.inner.threshold = float(value)
-
-
 def as_predictor(obj) -> Predictor:
-    """Coerce anything predictor-shaped into the unified protocol.
+    """Check that ``obj`` speaks the unified protocol and return it.
 
-    Objects already implementing :class:`Predictor` pass through
-    unchanged; duck-typed symptom/event predictors are wrapped in the
-    matching thin adapter.  Legacy family subclasses that still override
-    ``fit`` with the old signature are wrapped too: their ``fit`` would
-    otherwise shadow the unified ``fit(TrainingData)`` dispatch, while
-    the adapter routes training through the deprecation-warned
-    ``fit_samples`` / ``fit_sequences`` delegation hooks.
+    :class:`Predictor` instances pass through unchanged, as do structural
+    predictors from outside the class hierarchy (anything with ``fit`` and
+    ``score_batch``).  Anything else is rejected.
     """
-    if isinstance(obj, SymptomPredictor) and type(obj).fit is not SymptomPredictor.fit:
-        return SymptomPredictorAdapter(inner=obj)
-    if isinstance(obj, EventPredictor) and type(obj).fit is not EventPredictor.fit:
-        return EventPredictorAdapter(inner=obj)
-    if isinstance(obj, Predictor):
+    if isinstance(obj, Predictor) or (
+        hasattr(obj, "score_batch") and hasattr(obj, "fit")
+    ):
         return obj
-    if hasattr(obj, "score_batch") and hasattr(obj, "fit"):
-        return obj  # structural Predictor from outside the class hierarchy
-    if hasattr(obj, "score_samples"):
-        return SymptomPredictorAdapter(inner=obj)
-    if hasattr(obj, "score_sequence") or hasattr(obj, "score_sequences"):
-        return EventPredictorAdapter(inner=obj)
     raise ConfigurationError(
-        f"{type(obj).__name__} is not predictor-shaped (no score_batch, "
-        "score_samples, or score_sequence method)"
+        f"{type(obj).__name__} is not a Predictor (needs fit(TrainingData) "
+        "and score_batch methods)"
     )
-

@@ -36,7 +36,7 @@ grids and the CLI can declare a fused panel in one JSON value::
 
     make_predictor({
         "name": "noisy-or",
-        "members": ["ubf", {"name": "hsmm", "n_states": 5}, "trend"],
+        "members": ["ubf", {"name": "hsmm", "n_states_failure": 5}, "trend"],
         "criticality": {"ubf": 1.0, "hsmm": 0.9, "trend": 0.5},
         "leak": 0.01,
         "calibration": "platt",
@@ -45,11 +45,15 @@ grids and the CLI can declare a fused panel in one JSON value::
 :func:`normalize_predictor_spec` canonicalizes and validates such specs
 (members become dicts, aliases get uniqued) and the result round-trips
 through JSON byte-identically, so specs can ride inside frozen fleet
-``RunSpec`` params and ledgers.
+``RunSpec`` params and ledgers.  Both functions reject a parameter the
+named predictor does not take with a :class:`ConfigurationError` naming
+the predictor and the key, before anything is built or trained.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 from typing import Callable
 
@@ -66,7 +70,11 @@ def register_predictor(name: str, factory: Callable, overwrite: bool = False) ->
     """Register ``factory(rng, **params)`` under ``name``.
 
     Downstream projects register their own predictors here to make them
-    addressable from fleet grids and the CLI.
+    addressable from fleet grids and the CLI.  Spec keys are checked
+    against the factory's keyword parameters; a factory forwarding
+    ``**params`` to a constructor sets ``factory.forwards_to =
+    "module:Class"`` to have that constructor's parameters checked
+    instead of accepting any key.
     """
     if not name:
         raise ConfigurationError("predictor name must be non-empty")
@@ -78,6 +86,59 @@ def register_predictor(name: str, factory: Callable, overwrite: bool = False) ->
 def available_predictors() -> list[str]:
     """Registered predictor names, sorted."""
     return sorted(_REGISTRY)
+
+
+def _keywords(fn, skip: int = 0) -> tuple[set[str], bool]:
+    """Keyword parameter names of ``fn`` and whether it takes ``**kwargs``."""
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    names = {
+        p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+    return names, any(p.kind is p.VAR_KEYWORD for p in params)
+
+
+def _resolve(target: str):
+    module, _, attr = target.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+def _forwards_to(target: str) -> Callable:
+    """Mark a factory whose ``**params`` go to the ``"module:Class"`` constructor."""
+
+    def mark(factory: Callable) -> Callable:
+        factory.forwards_to = target
+        return factory
+
+    return mark
+
+
+def _accepted_params(factory) -> set[str] | None:
+    """Parameters ``factory(rng, **params)`` takes; ``None`` if any.
+
+    A factory that forwards ``**params`` to a constructor names it in a
+    ``forwards_to = "module:Class"`` attribute; the constructor's
+    parameters then count as the factory's own.
+    """
+    names, open_ended = _keywords(factory, skip=1)
+    if open_ended:
+        target = getattr(factory, "forwards_to", None)
+        if target is None:
+            return None
+        forwarded, open_ended = _keywords(_resolve(target))
+        if open_ended:
+            return None
+        names |= forwarded
+    return names - {"rng"}
+
+
+def _check_params(name: str, keys) -> None:
+    accepted = _accepted_params(_REGISTRY[name])
+    unknown = sorted(set(keys) - accepted) if accepted is not None else []
+    if unknown:
+        raise ConfigurationError(
+            f"predictor {name!r} has no parameter {unknown[0]!r}; "
+            f"it accepts {sorted(accepted)}"
+        )
 
 
 def make_predictor(name, *, rng=None, seed: int | None = None, **params):
@@ -106,6 +167,7 @@ def make_predictor(name, *, rng=None, seed: int | None = None, **params):
         raise ConfigurationError(
             f"unknown predictor {name!r}; available: {available_predictors()}"
         ) from None
+    _check_params(name, params)
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     return factory(rng, **params)
@@ -139,6 +201,8 @@ def normalize_predictor_spec(spec) -> dict:
         if not isinstance(key, str):
             raise ConfigurationError(f"spec keys must be strings, got {key!r}")
         out[key] = spec[key]
+    # "alias" labels a panel member; it is not a predictor parameter.
+    _check_params(name, set(out) - {"name", "alias"})
 
     if "members" in out:
         members = out["members"]
@@ -195,11 +259,10 @@ def _make_ubf(
     n_rounds: int = 6,
     samples_per_round: int = 8,
     select_variables: bool = True,
-    **params,
 ):
     # Defaults match the fast online configuration the closed-loop
-    # controller has used since PR 2 (`_default_predictor`), so naming
-    # "ubf" in a grid reproduces the historical runs exactly.
+    # controller has always trained by default, so naming "ubf" in a
+    # grid reproduces the historical runs exactly.
     from repro.prediction.ubf.network import UBFNetwork
     from repro.prediction.ubf.predictor import UBFPredictor
     from repro.prediction.ubf.pwa import ProbabilisticWrapper
@@ -211,16 +274,30 @@ def _make_ubf(
         ),
         select_variables=select_variables,
         rng=rng,
-        **params,
     )
 
 
+_BASELINES = "repro.prediction.baselines"
+
+
+def _deterministic(target: str) -> Callable:
+    """Factory for a predictor that takes no randomness: ``rng`` is ignored."""
+
+    @_forwards_to(target)
+    def factory(rng, **params):
+        return _resolve(target)(**params)
+
+    return factory
+
+
+@_forwards_to(f"{_BASELINES}.mset:MSETPredictor")
 def _make_mset(rng, **params):
     from repro.prediction.baselines.mset import MSETPredictor
 
     return MSETPredictor(rng=rng, **params)
 
 
+@_forwards_to("repro.prediction.hsmm.predictor:HSMMPredictor")
 def _make_hsmm(rng, **params):
     from repro.prediction.hsmm.predictor import HSMMPredictor
 
@@ -230,50 +307,15 @@ def _make_hsmm(rng, **params):
     return HSMMPredictor(**params)
 
 
-def _make_dft(rng, **params):
-    from repro.prediction.baselines.dft import DispersionFrameTechnique
-
-    return DispersionFrameTechnique(**params)
-
-
-def _make_eventset(rng, **params):
-    from repro.prediction.baselines.eventset import EventSetPredictor
-
-    return EventSetPredictor(**params)
-
-
-def _make_trend(rng, **params):
-    from repro.prediction.baselines.trend import TrendAnalysisPredictor
-
-    return TrendAnalysisPredictor(**params)
-
-
-def _make_rate(rng, **params):
-    from repro.prediction.baselines.rate import ErrorRatePredictor
-
-    return ErrorRatePredictor(**params)
-
-
-def _make_failure_tracking(rng, **params):
-    from repro.prediction.baselines.failure_tracking import FailureHistoryPredictor
-
-    return FailureHistoryPredictor(**params)
-
-
 def _make_noisy_or(
     rng,
     members=(),
     criticality: dict | None = None,
     leak: float = 0.01,
     calibration: str = "platt",
-    **params,
 ):
     from repro.prediction.arbitration import NoisyOrArbitrator
 
-    if params:
-        raise ConfigurationError(
-            f"unknown noisy-or spec keys: {sorted(params)}"
-        )
     spec = normalize_predictor_spec(
         {
             "name": "noisy-or",
@@ -301,11 +343,14 @@ for _name, _factory in [
     ("ubf", _make_ubf),
     ("mset", _make_mset),
     ("hsmm", _make_hsmm),
-    ("dft", _make_dft),
-    ("eventset", _make_eventset),
-    ("trend", _make_trend),
-    ("rate", _make_rate),
-    ("failure-tracking", _make_failure_tracking),
+    ("dft", _deterministic(f"{_BASELINES}.dft:DispersionFrameTechnique")),
+    ("eventset", _deterministic(f"{_BASELINES}.eventset:EventSetPredictor")),
+    ("trend", _deterministic(f"{_BASELINES}.trend:TrendAnalysisPredictor")),
+    ("rate", _deterministic(f"{_BASELINES}.rate:ErrorRatePredictor")),
+    (
+        "failure-tracking",
+        _deterministic(f"{_BASELINES}.failure_tracking:FailureHistoryPredictor"),
+    ),
     ("noisy-or", _make_noisy_or),
 ]:
     register_predictor(_name, _factory)

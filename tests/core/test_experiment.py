@@ -51,31 +51,36 @@ class TestClosedLoop:
 
 
 class TestReplication:
+    """One trained predictor evaluated against several faultload seeds."""
+
     @pytest.fixture(scope="class")
-    def replicated(self):
-        from repro.core import replicate_closed_loop
+    def report(self):
+        from repro.fleet import grid, run_fleet
 
-        with pytest.warns(DeprecationWarning, match="replicate_closed_loop"):
-            return replicate_closed_loop(
-                eval_seeds=[21, 23], train_seed=11, horizon=1.5 * 86_400.0
-            )
+        specs = grid(
+            ["closed-loop"], seeds=[21, 23], train_seed=11, horizon=1.5 * 86_400.0
+        )
+        return run_fleet(specs, backend="serial")
 
-    def test_one_result_per_seed(self, replicated):
-        assert len(replicated.results) == 2
+    def test_one_result_per_seed(self, report):
+        assert sorted(r.spec.seed for r in report.results) == [21, 23]
 
-    def test_improvement_on_every_seed(self, replicated):
-        assert replicated.always_improves
-        assert replicated.mean_unavailability_ratio < 1.0
+    def test_improvement_on_every_seed(self, report):
+        ratios = [r.unavailability_ratio for r in report.results]
+        assert all(ratio < 1.0 for ratio in ratios)
 
-    def test_summary_shows_spread(self, replicated):
-        text = replicated.summary()
-        assert "+/-" in text and "replicates: 2" in text
+    def test_summary_shows_spread(self, report):
+        ratio = report.scenario("closed-loop").to_json_dict()["unavailability_ratio"]
+        assert ratio["n"] == 2
+        assert ratio["mean"] < 1.0
+        assert ratio["min"] <= ratio["mean"] <= ratio["max"]
 
     def test_requires_seeds(self):
-        from repro.core import replicate_closed_loop
+        from repro.errors import ConfigurationError
+        from repro.fleet import grid
 
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            replicate_closed_loop(eval_seeds=[])
+        with pytest.raises(ConfigurationError, match="empty grid"):
+            grid(["closed-loop"], seeds=[], train_seed=11)
 
 
 class TestRepairMeasurement:

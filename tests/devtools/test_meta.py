@@ -1,5 +1,6 @@
 """Meta-tests: the rule set stays documented as it grows."""
 
+import re
 from pathlib import Path
 
 from repro.devtools.lint.project_rules import ProjectRule
@@ -53,6 +54,13 @@ class TestRuleDocs:
         text = DOC.read_text(encoding="utf-8")
         for rule_id in REGISTRY:
             assert rule_id in text, f"{rule_id} missing from {DOC.name}"
+
+    def test_catalogue_lists_exactly_the_registered_rules(self):
+        """A deleted rule takes its catalogue row with it (PFM000 is the
+        engine's reserved parse-failure id, not a registered rule)."""
+        text = DOC.read_text(encoding="utf-8")
+        rows = set(re.findall(r"^\| (PFM\d{3}) \|", text, flags=re.MULTILINE))
+        assert rows - {"PFM000"} == set(REGISTRY)
 
     def test_suppression_syntax_documented(self):
         text = DOC.read_text(encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Fire and quiet cases for the inter-procedural rules PFM010-PFM014."""
+"""Fire and quiet cases for the inter-procedural rules PFM010-PFM013."""
 
 from repro.devtools.lint.engine import lint_paths
 
@@ -322,137 +322,3 @@ class TestUnpicklableFlow:
             }
         )
         assert rule_findings(root, "PFM013") == []
-
-
-LEGACY_BASE = {
-    "repro/prediction/base.py": """\
-        import warnings
-
-
-        class SymptomPredictor:
-            def fit(self, data):
-                return data
-
-
-        class EventPredictor:
-            def fit(self, data):
-                return data
-
-
-        def replicate_closed_loop():
-            warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
-    """,
-}
-
-
-class TestLegacyCallForms:
-    def test_cross_module_call_to_shimmed_function_fires(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/core/run.py": """\
-                    from repro.prediction.base import replicate_closed_loop
-
-                    def go():
-                        return replicate_closed_loop()
-                """,
-            }
-        )
-        findings = rule_findings(root, "PFM014")
-        assert len(findings) == 1
-        assert "replicate_closed_loop" in findings[0].message
-
-    def test_same_module_shim_infrastructure_is_quiet(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/prediction/extra.py": "x = 1\n",
-            }
-        )
-        assert rule_findings(root, "PFM014") == []
-
-    def test_two_argument_fit_on_predictor_fires(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/core/train.py": """\
-                    from repro.prediction.base import SymptomPredictor
-
-                    def train(x, y):
-                        model = SymptomPredictor()
-                        return model.fit(x, y)
-                """,
-            }
-        )
-        findings = rule_findings(root, "PFM014")
-        assert len(findings) == 1
-        assert "two-argument fit" in findings[0].message
-
-    def test_single_argument_fit_is_quiet(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/core/train.py": """\
-                    from repro.prediction.base import SymptomPredictor
-
-                    def train(bundle):
-                        model = SymptomPredictor()
-                        return model.fit(bundle)
-                """,
-            }
-        )
-        assert rule_findings(root, "PFM014") == []
-
-    def test_two_argument_fit_on_unrelated_class_is_quiet(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/core/train.py": """\
-                    class Scaler:
-                        def fit(self, x, y):
-                            return x
-
-                    def train(x, y):
-                        s = Scaler()
-                        return s.fit(x, y)
-                """,
-            }
-        )
-        findings = [
-            f
-            for f in rule_findings(root, "PFM014")
-            if "two-argument" in f.message
-        ]
-        assert findings == []
-
-    def test_subclass_overriding_fit_fires(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/prediction/custom.py": """\
-                    from repro.prediction.base import EventPredictor
-
-                    class MyPredictor(EventPredictor):
-                        def fit(self, x, y):
-                            return x
-                """,
-            }
-        )
-        findings = rule_findings(root, "PFM014")
-        assert len(findings) == 1
-        assert "overrides fit()" in findings[0].message
-
-    def test_subclass_overriding_hooks_is_quiet(self, make_project):
-        root = make_project(
-            {
-                **LEGACY_BASE,
-                "repro/prediction/custom.py": """\
-                    from repro.prediction.base import EventPredictor
-
-                    class MyPredictor(EventPredictor):
-                        def fit_sequences(self, failure, nonfailure):
-                            return failure
-                """,
-            }
-        )
-        assert rule_findings(root, "PFM014") == []

@@ -138,14 +138,6 @@ class TestBatchScoring:
         model = HiddenSemiMarkovModel(2, 3)
         assert model.log_likelihood_batch([]).size == 0
 
-    def test_batch_parallel_matches_serial(self):
-        rng = np.random.default_rng(12)
-        model = random_model(rng, 2, 4, max_duration=5)
-        sequences = [rng.integers(0, 4, size=20) for _ in range(6)]
-        serial = model.log_likelihood_batch(sequences, n_jobs=1)
-        parallel = model.log_likelihood_batch(sequences, n_jobs=2)
-        np.testing.assert_allclose(parallel, serial, atol=1e-10)
-
 
 class TestParameterCache:
     def test_version_bumps_only_on_change(self):
@@ -184,34 +176,6 @@ class TestStrategySwitch:
         model = HiddenSemiMarkovModel(2, 3)
         assert model._duration_factory is _default_duration_factory
         pickle.loads(pickle.dumps(model))
-
-    def test_parallel_restarts_fit_and_score(self):
-        rng = np.random.default_rng(4)
-        generator = HiddenSemiMarkovModel(
-            2, 3, max_duration=4, rng=np.random.default_rng(8)
-        )
-        sequences = [generator.sample(20, rng)[1] for _ in range(6)]
-        model = HiddenSemiMarkovModel(2, 3, max_duration=4)
-        trace = model.fit(
-            sequences,
-            max_iter=4,
-            n_restarts=3,
-            n_jobs=2,
-            restart_rng=np.random.default_rng(0),
-        )
-        assert model.is_fitted
-        assert np.isfinite(trace[-1])
-        # Same seeds give the same winner regardless of pool availability.
-        twin = HiddenSemiMarkovModel(2, 3, max_duration=4)
-        twin_trace = twin.fit(
-            sequences,
-            max_iter=4,
-            n_restarts=3,
-            n_jobs=2,
-            restart_rng=np.random.default_rng(0),
-        )
-        np.testing.assert_allclose(trace, twin_trace, atol=1e-10)
-        np.testing.assert_allclose(model.emission, twin.emission, atol=1e-10)
 
 
 class CountingGenerator:

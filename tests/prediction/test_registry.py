@@ -58,13 +58,75 @@ class TestConstruction:
         assert a.seed == b.seed
         assert a.seed != c.seed
 
-    def test_default_predictor_wrapper_uses_registry(self):
-        from repro.core.experiment import _default_predictor
 
-        wrapped = _default_predictor(np.random.default_rng(0))
-        direct = make_predictor("ubf", rng=np.random.default_rng(0))
-        assert type(wrapped) is type(direct)
-        assert wrapped.network.n_kernels == direct.network.n_kernels
+class TestParameterValidation:
+    """Unknown spec keys are configuration errors, caught before building."""
+
+    def test_documented_example_builds(self):
+        from repro.prediction import registry
+
+        spec = {
+            "name": "noisy-or",
+            "members": ["ubf", {"name": "hsmm", "n_states_failure": 5}, "trend"],
+            "criticality": {"ubf": 1.0, "hsmm": 0.9, "trend": 0.5},
+            "leak": 0.01,
+            "calibration": "platt",
+        }
+        assert '"n_states_failure": 5' in registry.__doc__
+        predictor = make_predictor(spec)
+        by_name = {member.name: member.predictor for member in predictor.members}
+        assert by_name["hsmm"].n_states_failure == 5
+
+    @pytest.mark.parametrize("build", [normalize_predictor_spec, make_predictor])
+    def test_unknown_member_parameter_names_predictor_and_key(self, build):
+        spec = {
+            "name": "noisy-or",
+            "members": ["ubf", {"name": "hsmm", "n_states": 5}],
+        }
+        with pytest.raises(ConfigurationError, match=r"'hsmm'.*'n_states'"):
+            build(spec)
+
+    def test_unknown_keyword_on_a_bare_name(self):
+        with pytest.raises(ConfigurationError, match=r"'ubf'.*'n_kernel'"):
+            make_predictor("ubf", n_kernel=4)
+
+    def test_constructor_parameters_are_accepted(self):
+        assert make_predictor("trend", window=12).window == 12
+        assert make_predictor({"name": "hsmm", "max_iter": 3}).max_iter == 3
+
+    def test_nothing_is_built_before_the_error(self):
+        from repro.prediction import registry
+
+        built = []
+
+        def counting(rng, size: int = 1):
+            built.append(size)
+            return object()
+
+        register_predictor("test-counting", counting)
+        try:
+            with pytest.raises(ConfigurationError, match="'test-counting'.*'sise'"):
+                make_predictor(
+                    {
+                        "name": "noisy-or",
+                        "members": [
+                            "test-counting",
+                            {"name": "test-counting", "sise": 2},
+                        ],
+                    }
+                )
+            assert built == []
+        finally:
+            registry._REGISTRY.pop("test-counting", None)
+
+    def test_open_factories_accept_any_key(self):
+        from repro.prediction import registry
+
+        register_predictor("test-open", lambda rng, **params: params)
+        try:
+            assert make_predictor("test-open", anything=1) == {"anything": 1}
+        finally:
+            registry._REGISTRY.pop("test-open", None)
 
 
 class TestRegistration:

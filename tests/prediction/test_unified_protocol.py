@@ -1,4 +1,4 @@
-"""Unified Predictor protocol: TrainingData, adapters, legacy shims."""
+"""Unified Predictor protocol: TrainingData, fit hooks, as_predictor."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.prediction import (
-    EventPredictorAdapter,
     PredictionBatch,
-    SymptomPredictorAdapter,
     TrainingData,
     as_predictor,
 )
@@ -26,29 +24,6 @@ class MeanScorer(SymptomPredictor):
 
     def score_samples(self, x):
         return np.asarray(x, dtype=float).mean(axis=1)
-
-
-class LegacyScorer(SymptomPredictor):
-    """Old-style subclass that still overrides ``fit(x, y)`` directly."""
-
-    def fit(self, x, y):  # pre-unification signature
-        self.mean_ = float(np.asarray(x).mean())
-        self._fitted = True
-        return self
-
-    def score_samples(self, x):
-        return np.asarray(x, dtype=float).mean(axis=1) - self.mean_
-
-
-class LegacyBurst(EventPredictor):
-    """Old-style event subclass overriding ``fit(failure, nonfailure)``."""
-
-    def fit(self, failure_sequences, nonfailure_sequences):
-        self._fitted = True
-        return self
-
-    def score_sequence(self, sequence):
-        return float(len(sequence.times))
 
 
 def _sequences(n, events, label):
@@ -96,56 +71,35 @@ class TestTrainingData:
             batch.require_sequences("test")
 
 
-class TestLegacyShims:
-    def test_legacy_call_form_warns_and_fits(self, rng):
+class TestFitContract:
+    def test_fit_takes_only_training_data(self, rng):
         x, y = rng.normal(size=(30, 2)), rng.random(30)
-        predictor = MeanScorer()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit(x, y)
-        assert predictor.score_samples(x).shape == (30,)
+        with pytest.raises(TypeError):
+            MeanScorer().fit(x, y)
 
-    def test_legacy_symptom_subclass_still_instantiates(self, rng):
-        """Overriding fit(x, y) directly must not break instantiation."""
-        x, y = rng.normal(size=(30, 2)), rng.random(30)
-        predictor = LegacyScorer()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit_samples(x, y)
-        assert predictor.mean_ == pytest.approx(float(x.mean()))
-
-    def test_legacy_symptom_subclass_through_unified_fit(self, rng):
-        """as_predictor wraps fit-overriders so fit(TrainingData) works."""
+    def test_fit_delegates_to_hook(self, rng):
         data = TrainingData.from_samples(rng.normal(size=(30, 2)), rng.random(30))
-        adapted = as_predictor(LegacyScorer())
-        assert isinstance(adapted, SymptomPredictorAdapter)
-        with pytest.warns(DeprecationWarning):
-            adapted.fit(data)
-        scores = adapted.score_batch(data.batch())
-        assert scores.shape == (30,)
-
-    def test_legacy_event_subclass_through_unified_fit(self):
-        data = TrainingData(
-            failure_sequences=_sequences(3, 8, True),
-            nonfailure_sequences=_sequences(3, 2, False),
-        )
-        adapted = as_predictor(LegacyBurst())
-        assert isinstance(adapted, EventPredictorAdapter)
-        with pytest.warns(DeprecationWarning):
-            adapted.fit(data)
-        batch = PredictionBatch(sequences=_sequences(2, 5, None))
-        np.testing.assert_allclose(adapted.score_batch(batch), [5.0, 5.0])
-
-    def test_event_legacy_hook_delegation_warns(self):
-        predictor = LegacyBurst()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit_sequences(
-                _sequences(2, 4, True), _sequences(2, 2, False)
-            )
+        predictor = MeanScorer().fit(data)
         assert predictor._fitted
+        assert predictor.score_batch(data.batch()).shape == (30,)
+
+    def test_hooks_are_abstract(self):
+        class NoHook(SymptomPredictor):
+            def score_samples(self, x):
+                return np.zeros(len(x))
+
+        class NoEventHook(EventPredictor):
+            def score_sequence(self, sequence):
+                return 0.0
+
+        for cls in (NoHook, NoEventHook):
+            with pytest.raises(TypeError):
+                cls()
 
 
-class TestAdapters:
+class TestAsPredictor:
     class DuckSymptom:
-        """Not a Predictor subclass at all — just speaks the dialect."""
+        """Not a Predictor subclass; speaks only the symptom dialect."""
 
         threshold = 0.5
 
@@ -164,28 +118,32 @@ class TestAdapters:
         def score_sequence(self, sequence):
             return float(len(sequence.times))
 
+    class Structural:
+        """Outside the class hierarchy but speaks the unified protocol."""
+
+        threshold = 0.5
+
+        def fit(self, data):
+            return self
+
+        def score_batch(self, batch):
+            return np.zeros(len(PredictionBatch.coerce(batch)))
+
     def test_as_predictor_passthrough(self):
         predictor = MeanScorer()
         assert as_predictor(predictor) is predictor
 
-    def test_symptom_duck_is_adapted(self, rng):
-        adapted = as_predictor(self.DuckSymptom())
-        assert isinstance(adapted, SymptomPredictorAdapter)
-        data = TrainingData.from_samples(rng.normal(size=(10, 2)), rng.random(10))
-        adapted.fit(data)
-        assert adapted.score_batch(data.batch()).shape == (10,)
+    def test_structural_predictor_passes_through(self):
+        structural = self.Structural()
+        assert as_predictor(structural) is structural
 
-    def test_event_duck_is_adapted(self):
-        adapted = as_predictor(self.DuckEvent())
-        assert isinstance(adapted, EventPredictorAdapter)
-        assert adapted.consumes == frozenset({"sequences"})
+    def test_symptom_duck_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="DuckSymptom"):
+            as_predictor(self.DuckSymptom())
 
-    def test_adapter_threshold_delegates(self):
-        duck = self.DuckSymptom()
-        adapted = as_predictor(duck)
-        adapted.threshold = 0.9
-        assert duck.threshold == 0.9
-        assert adapted.threshold == 0.9
+    def test_event_duck_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="DuckEvent"):
+            as_predictor(self.DuckEvent())
 
     def test_unadaptable_object_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -75,6 +75,10 @@ class TestParser:
             _parse_predictor_spec("{nope")
         with pytest.raises(SystemExit, match="invalid --predictor-spec"):
             _parse_predictor_spec('{"name": "no-such-predictor"}')
+        with pytest.raises(SystemExit, match=r"'hsmm'.*'n_states'"):
+            _parse_predictor_spec(
+                '{"name": "noisy-or", "members": [{"name": "hsmm", "n_states": 5}]}'
+            )
 
     def test_fleet_predictor_spec_repeatable(self):
         args = build_parser().parse_args(
