@@ -1,8 +1,9 @@
 """pfmlint command line: ``python -m repro.devtools.lint [paths ...]``.
 
 Exit codes are stable API: 0 clean (or everything baselined), 1 new
-findings, 2 usage error (argparse) or configuration error (bad layer
-file, unknown rule id).  ``repro.cli lint`` is a thin alias of this
+findings, 2 usage error (argparse, an unknown or empty rule selection,
+``--write-baseline`` with ``--changed-only``) or configuration error
+(bad layer file).  ``repro.cli lint`` is a thin alias of this
 entry point.
 """
 
@@ -17,7 +18,6 @@ from repro.devtools.lint.baseline import (
     split_baselined,
     write_baseline,
 )
-from repro.devtools.lint.cache import DEFAULT_CACHE_DIR
 from repro.devtools.lint.engine import lint_paths
 from repro.devtools.lint.layers import LayerConfigError
 from repro.devtools.lint.reporters import (
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help="rewrite the baseline from the current findings and exit 0 "
+        "(a full run: not combinable with --changed-only)",
     )
     parser.add_argument(
         "--select",
@@ -74,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout report format (default: text)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json (kept for compatibility)",
-    )
-    parser.add_argument(
         "--output", default=None, help="also write the JSON report to this file"
     )
     parser.add_argument(
@@ -86,23 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write a SARIF 2.1.0 report to this file",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="analyze files in N worker processes (default: 1, serial; "
-        "findings are byte-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed analysis cache",
     )
     parser.add_argument(
         "--no-project",
@@ -139,6 +118,8 @@ def _selected_rules(select: str | None, parser: argparse.ArgumentParser):
     if select is None:
         return all_rules()
     wanted = [part.strip().upper() for part in select.split(",") if part.strip()]
+    if not wanted:
+        parser.error("--select names no rule id; omit it to run every rule")
     unknown = [rule_id for rule_id in wanted if rule_id not in REGISTRY]
     if unknown:
         parser.error(
@@ -155,13 +136,15 @@ def main(argv: list[str] | None = None) -> int:
         print(list_rules_text())
         return EXIT_CLEAN
 
+    if args.write_baseline and args.changed_only:
+        # A baseline written from a filtered report would drop every
+        # unchanged file's entries and fail the next full run.
+        parser.error("--write-baseline cannot be combined with --changed-only")
     rules = _selected_rules(args.select, parser)
     try:
         result = lint_paths(
             list(args.paths),
             rules,
-            jobs=max(args.jobs, 1),
-            cache_dir=None if args.no_cache else args.cache_dir,
             project=not args.no_project,
             layers=args.layers,
             changed_only=args.changed_only,
@@ -191,10 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.sarif, "w", encoding="utf-8") as handle:
             handle.write(sarif_report(new, baselined) + "\n")
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(report)
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         print(sarif_report(new, baselined))
     else:
         print(

@@ -1,4 +1,4 @@
-"""The pfmlint engine: discover, analyze (cached, parallel), assemble.
+"""The pfmlint engine: discover, analyze, assemble.
 
 Inline suppression syntax (same line as the finding)::
 
@@ -9,28 +9,24 @@ on that line.  Text after the rule list (conventionally introduced with
 ``--``) is the human-readable justification and is ignored by the
 parser, but reviewers should treat a suppression without one as a bug.
 
-Since the inter-procedural rewrite the engine runs in two phases:
+The engine runs serially, in two phases:
 
 1. **Per-file phase** -- parse each module, run the per-file rules, and
-   extract the :mod:`~repro.devtools.lint.project` summary.  Results are
-   stored in a content-addressed cache keyed by ``sha256(path, source)``
-   and the engine signature (analyzer version + selected rule versions), so
-   a warm run re-analyzes only edited files.  With ``jobs > 1`` cache
-   misses fan out over the fleet's executor seam
-   (:func:`repro.fleet.executors.create_executor`); results are
-   reassembled in sorted path order, so parallel findings are
-   byte-identical to serial ones.
+   extract the :mod:`~repro.devtools.lint.project` summary.  The rules
+   and the summary extractor share the node lists of one
+   :class:`~repro.devtools.lint.findings.ModuleContext`, so no
+   whole-module walk is repeated.
 2. **Project phase** -- assemble every summary into a
    :class:`~repro.devtools.lint.project.ProjectModel`, attach the layer
-   contract, and run the project rules (PFM010--PFM013).  This phase is
-   cheap and always runs fresh; it is what a warm ``--changed-only`` run
-   spends its time on.
+   contract, and run the project rules (PFM010--PFM013).
+
+Findings are assembled in sorted path order, so a report depends only
+on the files' contents, never on discovery order.
 
 ``--changed-only`` restricts *reported* findings to files git considers
-changed (working tree + optionally ``--changed-base REF``); the project
-graph still covers every file, via warm cache entries, so an edit that
-breaks an invariant *elsewhere* is attributed to the edited file's
-chain when the chain starts there.
+changed (working tree + optionally ``--changed-base REF``); both phases
+still cover every file, so an edit that breaks an invariant *elsewhere*
+is attributed to the edited file's chain when the chain starts there.
 """
 
 from __future__ import annotations
@@ -40,25 +36,17 @@ import os
 import re
 import subprocess
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.devtools.lint import project_rules  # noqa: F401 -- registers PFM010-013
-from repro.devtools.lint.cache import (
-    DEFAULT_CACHE_DIR,
-    LintCache,
-    engine_signature,
-    file_digest,
-    findings_from_entry,
-    findings_to_entry,
-)
 from repro.devtools.lint.findings import Finding, ModuleContext
 from repro.devtools.lint.layers import LayerConfig, load_layers
 from repro.devtools.lint.project import (
-    ANALYZER_VERSION,
     build_module_summary,
     build_project_model,
     module_name_for_path,
 )
-from repro.devtools.lint.rules import REGISTRY, Rule, all_rules
+from repro.devtools.lint.rules import Rule, all_rules
 
 #: Rule id reserved for files the engine cannot parse at all.
 PARSE_ERROR_RULE = "PFM000"
@@ -68,9 +56,7 @@ _SUPPRESS_RE = re.compile(
 )
 
 #: Directory names never descended into during discovery.
-SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".venv", "node_modules", ".eggs", ".pfmlint-cache"}
-)
+SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules", ".eggs"})
 
 
 @dataclass
@@ -80,8 +66,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Files git reported as changed when ``--changed-only`` applied;
     #: None for a full run (including the git-unavailable fallback).
     changed_files: int | None = None
@@ -136,8 +120,21 @@ def lint_source(
     :func:`lint_paths` for PFM010+.
     """
     rules = all_rules() if rules is None else rules
-    entry = analyze_source(source, path, module=None, rules=rules)
-    return findings_from_entry(entry["findings"]), entry["suppressed"]
+    analysis = analyze_source(source, path, module=None, rules=rules)
+    return analysis.findings, analysis.suppressed
+
+
+class FileAnalysis(NamedTuple):
+    """Phase-1 result for one module."""
+
+    #: Per-file findings left after inline suppression, sorted.
+    findings: list[Finding]
+    #: How many per-file findings inline suppressions consumed.
+    suppressed: int
+    #: Line -> suppressed rule ids (applied to project findings later).
+    suppressions: dict[int, set[str]]
+    #: The project-model summary; None when the file does not parse.
+    summary: dict | None
 
 
 def analyze_source(
@@ -145,14 +142,8 @@ def analyze_source(
     path: str,
     module: str | None,
     rules: list[Rule],
-) -> dict:
-    """Phase-1 analysis of one module: per-file findings + summary.
-
-    Returns the JSON-serializable cache entry shape::
-
-        {"findings": [...], "suppressed": n,
-         "suppressions": {"<line>": [rule ids]}, "summary": {...} | None}
-    """
+) -> FileAnalysis:
+    """Phase-1 analysis of one module: per-file findings + summary."""
     suppressions = parse_suppressions(source)
     try:
         tree = ast.parse(source)
@@ -165,12 +156,7 @@ def analyze_source(
             message=f"file does not parse: {exc.msg}",
             snippet=(exc.text or "").strip(),
         )
-        return {
-            "findings": findings_to_entry([finding]),
-            "suppressed": 0,
-            "suppressions": {},
-            "summary": None,
-        }
+        return FileAnalysis([finding], 0, {}, None)
 
     module_ctx = ModuleContext(path=path, source=source, tree=tree)
     findings: list[Finding] = []
@@ -179,25 +165,9 @@ def analyze_source(
             findings.append(replace(finding, rule_version=rule.version))
     findings, n_suppressed = _apply_suppressions(findings, suppressions)
     findings.sort()
-    summary = build_module_summary(tree, module, path, suppressions)
-    return {
-        "findings": findings_to_entry(findings),
-        "suppressed": n_suppressed,
-        "suppressions": {
-            str(line): sorted(ids) for line, ids in sorted(suppressions.items())
-        },
-        "summary": summary,
-    }
-
-
-def _analyze_file_task(
-    file_path: str, display_path: str, module: str | None, rule_ids: list[str]
-) -> tuple[str, dict]:
-    """Picklable worker: analyze one file by path (runs in pool workers)."""
-    rules = [REGISTRY[rule_id]() for rule_id in rule_ids]
-    with open(file_path, encoding="utf-8") as handle:
-        source = handle.read()
-    return display_path, analyze_source(source, display_path, module, rules)
+    summary = build_module_summary(module_ctx, module, suppressions)
+    summary["_lines"] = module_ctx.lines
+    return FileAnalysis(findings, n_suppressed, suppressions, summary)
 
 
 def iter_python_files(paths: list[str]) -> list[str]:
@@ -293,8 +263,6 @@ def lint_paths(
     paths: list[str],
     rules: list[Rule] | None = None,
     *,
-    jobs: int = 1,
-    cache_dir: str | None = DEFAULT_CACHE_DIR,
     project: bool = True,
     layers: LayerConfig | str | None = None,
     changed_only: bool = False,
@@ -302,114 +270,47 @@ def lint_paths(
 ) -> LintResult:
     """Lint every Python file under ``paths`` (both phases).
 
-    ``cache_dir=None`` disables the analysis cache; ``jobs > 1`` runs
-    the per-file phase in a process pool (findings byte-identical to
-    serial); ``project=False`` skips the inter-procedural phase;
-    ``layers`` is a :class:`LayerConfig`, a path to one, or None for
-    the conventional lookup; ``changed_only`` filters reported findings
-    to git-changed files (vs ``changed_base`` when given).
+    ``project=False`` skips the inter-procedural phase; ``layers`` is a
+    :class:`LayerConfig`, a path to one, or None for the conventional
+    lookup; ``changed_only`` filters reported findings to git-changed
+    files (vs ``changed_base`` when given).
     """
     rules = all_rules() if rules is None else rules
     result = LintResult()
 
-    files = iter_python_files(paths)
-    signature = engine_signature(ANALYZER_VERSION, rules)
-    cache = LintCache(cache_dir) if cache_dir else None
-
-    # Per-file metadata, all keyed/ordered by display path.
-    meta: dict[str, tuple[str, str, str | None]] = {}
-    for file_path in files:
+    analyses: dict[str, FileAnalysis] = {}
+    for file_path in iter_python_files(paths):
         display = _display_path(file_path)
         with open(file_path, encoding="utf-8") as handle:
             source = handle.read()
-        meta[display] = (file_path, source, module_name_for_path(file_path))
+        analyses[display] = analyze_source(
+            source, display, module_name_for_path(file_path), rules
+        )
 
-    entries: dict[str, dict] = {}
-    misses: list[str] = []
-    for display in sorted(meta):
-        _file_path, source, _module = meta[display]
-        if cache is not None:
-            entry = cache.load(file_digest(display, source), signature)
-            if entry is not None:
-                entries[display] = entry
-                continue
-        misses.append(display)
-
-    rule_ids = [rule.id for rule in rules]
-    if misses and jobs > 1:
-        # Lazy import: the executor seam lives two layers up and is only
-        # needed for parallel runs (keeps `repro lint` start-up light).
-        from repro.fleet.executors import create_executor
-
-        executor = create_executor("process", jobs)
-        try:
-            futures = [
-                executor.submit(
-                    _analyze_file_task,
-                    meta[display][0],
-                    display,
-                    meta[display][2],
-                    rule_ids,
-                )
-                for display in misses
-            ]
-            for future in executor.as_completed():
-                display, entry = future.result()
-                entries[display] = entry
-        finally:
-            executor.shutdown()
-    else:
-        for display in misses:
-            file_path, source, module = meta[display]
-            entries[display] = analyze_source(source, display, module, rules)
-
-    if cache is not None:
-        result.cache_misses = len(misses)
-        result.cache_hits = len(files) - len(misses)
-        for display in misses:
-            cache.save(
-                file_digest(display, meta[display][1]), signature, entries[display]
-            )
-
-    # Assemble per-file results in sorted path order: byte-identical
-    # regardless of cache state or worker completion order.
-    findings: list[Finding] = []
-    for display in sorted(entries):
-        entry = entries[display]
-        findings.extend(findings_from_entry(entry["findings"]))
-        result.suppressed += entry["suppressed"]
-        result.files_checked += 1
+    findings = [f for analysis in analyses.values() for f in analysis.findings]
+    result.suppressed = sum(analysis.suppressed for analysis in analyses.values())
+    result.files_checked = len(analyses)
 
     # Project phase: assemble the model, run PFM010+.
     proj_rules = project_rule_list(rules)
     if project and proj_rules:
-        summaries = []
-        for display in sorted(entries):
-            summary = entries[display]["summary"]
-            if summary is not None and summary.get("module"):
-                summary["_lines"] = meta[display][1].splitlines()
-                summaries.append(summary)
-        model = build_project_model(summaries)
+        model = build_project_model(
+            [analyses[path].summary for path in sorted(analyses)
+             if analyses[path].summary is not None]
+        )
         if isinstance(layers, LayerConfig):
             model.layers = layers
         else:
             model.layers = load_layers(layers)
-        suppression_maps = {
-            display: {
-                int(line): set(ids)
-                for line, ids in entries[display]["suppressions"].items()
-            }
-            for display in entries
-        }
         for rule in proj_rules:
             rule_findings = [
                 replace(f, rule_version=rule.version)
                 for f in rule.check_project(model)
             ]
             for finding in sorted(rule_findings):
-                on_line = suppression_maps.get(finding.path, {}).get(
-                    finding.line, set()
-                )
+                # Project findings anchor in modelled (= analysed) files.
+                suppressions = analyses[finding.path].suppressions
+                on_line = suppressions.get(finding.line, set())
                 if finding.rule in on_line or "ALL" in on_line:
                     result.suppressed += 1
                 else:
@@ -419,7 +320,7 @@ def lint_paths(
         changed = git_changed_files(changed_base)
         if changed is not None:
             findings = [f for f in findings if f.path in changed]
-            result.changed_files = len(changed & set(entries))
+            result.changed_files = len(changed & set(analyses))
 
     findings.sort()
     result.findings = findings

@@ -9,6 +9,10 @@ purpose: tightening a rule bumps its ``version``, which changes every
 fingerprint it emits and therefore invalidates its baseline entries --
 a stale baseline can never absorb a finding produced by a stricter
 check than the one that recorded it.
+
+A :class:`ModuleContext` builds its node lists once per module: every
+rule and the project summary read the shared :attr:`~ModuleContext.nodes`
+and :attr:`~ModuleContext.scoped` lists instead of re-walking the AST.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True, order=True)
@@ -71,6 +76,32 @@ class ModuleContext:
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, in :func:`ast.walk` order."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def scoped(self) -> list[tuple[ast.AST, tuple[str, ...]]]:
+        """``(node, enclosing_function_names)`` pairs, depth-first.
+
+        The stack lists the enclosing ``def`` names outermost first; a
+        ``def`` node itself carries the stack it is defined in.  The
+        module root is not included.
+        """
+        pairs: list[tuple[ast.AST, tuple[str, ...]]] = []
+
+        def visit(node: ast.AST, stack: tuple[str, ...]) -> None:
+            for child in ast.iter_child_nodes(node):
+                pairs.append((child, stack))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, stack + (child.name,))
+                else:
+                    visit(child, stack)
+
+        visit(self.tree, ())
+        return pairs
 
     def snippet(self, node: ast.AST) -> str:
         """The stripped source line a node starts on (best effort)."""

@@ -1,6 +1,9 @@
 """The pfmlint rule set: this repository's determinism invariants as code.
 
-Every rule is a small AST pass registered in :data:`REGISTRY`.  The rules
+Every rule is a small check registered in :data:`REGISTRY`.  Rules read
+the module's shared node lists (:attr:`ModuleContext.nodes`,
+:attr:`ModuleContext.scoped`) rather than each re-walking the whole
+tree, so the cost of those walks does not grow with the rule count.  The rules
 encode invariants the test suite can only probe dynamically -- byte-equal
 serial/parallel fleets, reproducible BENCH documents, picklable RunSpecs
 -- as static checks that fire at the offending line.
@@ -44,11 +47,9 @@ class Rule:
 
     :attr:`version` is the rule's *semantic* version: bump it whenever
     the rule tightens (new patterns caught, scope widened).  The version
-    participates in finding fingerprints and in the analysis-cache
-    engine signature, so a bump atomically invalidates both the rule's
-    baseline entries and every cached per-file result -- a stale
-    ``pfmlint-baseline.json`` entry can never mask a finding the
-    stricter rule would now report.
+    participates in finding fingerprints, so a bump invalidates the
+    rule's baseline entries -- a stale ``pfmlint-baseline.json`` entry
+    can never mask a finding the stricter rule would now report.
     """
 
     id: str = ""
@@ -96,22 +97,6 @@ def _is_default_rng_call(node: ast.AST) -> bool:
     return args_ok and not node.keywords
 
 
-def _walk_with_function_stack(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.AST, tuple[str, ...]]]:
-    """Yield ``(node, enclosing_function_names)`` pairs, outermost first."""
-
-    def visit(node: ast.AST, stack: tuple[str, ...]) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            yield child, stack
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, stack + (child.name,))
-            else:
-                yield from visit(child, stack)
-
-    yield from visit(tree, ())
-
-
 # ----------------------------------------------------------------------
 # PFM001 -- RNG discipline
 # ----------------------------------------------------------------------
@@ -156,7 +141,7 @@ class LegacyRandomRule(Rule):
             and any(alias.name == "random" for alias in node.names)
             for node in module.tree.body
         )
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is not None:
@@ -254,7 +239,7 @@ class WallClockRule(Rule):
         path = module.path.replace("\\", "/")
         if not any(scope in path for scope in self.SCOPES):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -297,7 +282,7 @@ class FloatEqualityRule(Rule):
     title = "float literal equality"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -360,7 +345,7 @@ class UnorderedIterationRule(Rule):
                 "sorted(...) so downstream output stays deterministic",
             )
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and self._is_set_expr(node.iter):
                 yield flag(node.iter)
             if isinstance(
@@ -410,7 +395,7 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -459,9 +444,9 @@ class UnpicklableCallableRule(Rule):
     PARENT_SIDE_KWARGS = frozenset({"progress"})
 
     @staticmethod
-    def _nested_function_names(tree: ast.Module) -> set[str]:
+    def _nested_function_names(module: ModuleContext) -> set[str]:
         nested: set[str] = set()
-        for node, stack in _walk_with_function_stack(tree):
+        for node, stack in module.scoped:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and stack:
                 nested.add(node.name)
         return nested
@@ -482,8 +467,8 @@ class UnpicklableCallableRule(Rule):
         return False
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        nested = self._nested_function_names(module.tree)
-        for node in ast.walk(module.tree):
+        nested = self._nested_function_names(module)
+        for node in module.nodes:
             if not (isinstance(node, ast.Call) and self._is_pool_sink(node)):
                 continue
             name = dotted_name(node.func) or ""
@@ -545,9 +530,9 @@ class FrozenSpecMutationRule(Rule):
     KNOWN_FROZEN = frozenset({"RunSpec"})
 
     @staticmethod
-    def _frozen_dataclasses(tree: ast.Module) -> set[str]:
+    def _frozen_dataclasses(module: ModuleContext) -> set[str]:
         frozen: set[str] = set()
-        for node in ast.walk(tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for decorator in node.decorator_list:
@@ -564,9 +549,9 @@ class FrozenSpecMutationRule(Rule):
         return frozen
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        frozen_types = self.KNOWN_FROZEN | self._frozen_dataclasses(module.tree)
+        frozen_types = self.KNOWN_FROZEN | self._frozen_dataclasses(module)
 
-        for node, stack in _walk_with_function_stack(module.tree):
+        for node, stack in module.scoped:
             if isinstance(node, ast.Call):
                 if dotted_name(node.func) == "object.__setattr__" and (
                     not stack or stack[-1] not in self.CONSTRUCTOR_METHODS
@@ -579,7 +564,7 @@ class FrozenSpecMutationRule(Rule):
                     )
 
         # Per-function: names bound from FrozenType(...) then written to.
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             frozen_names: set[str] = set()
@@ -774,7 +759,7 @@ class SwallowedExceptionRule(Rule):
         return False
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node):

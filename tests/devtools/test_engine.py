@@ -1,6 +1,7 @@
-"""Engine behaviour: suppressions, parse errors, discovery, fingerprints."""
+"""Engine behaviour: suppressions, parse errors, discovery, assembly,
+fingerprints."""
 
-import textwrap
+import json
 
 from repro.devtools.lint.engine import (
     PARSE_ERROR_RULE,
@@ -10,6 +11,7 @@ from repro.devtools.lint.engine import (
     parse_suppressions,
 )
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.reporters import json_report
 
 
 class TestSuppressions:
@@ -71,6 +73,49 @@ class TestDiscovery:
         result = lint_paths([str(tmp_path)])
         assert result.files_checked == 2
         assert [f.rule for f in result.findings] == ["PFM003"]
+
+
+#: Findings scattered over several packages, per-file and project ones.
+SCATTERED = {
+    f"repro/pkg{i}/mod{j}.py": (
+        "bad = value != 0.5\n"
+        if (i + j) % 2
+        else "import time\n\n\ndef f():\n    return time.time()\n"
+    )
+    for i in range(3)
+    for j in range(4)
+}
+SCATTERED["repro/telemetry/taint.py"] = (
+    "from repro.pkg0.mod0 import f\n\n\ndef span():\n    return f()\n"
+)
+
+
+class TestAssembly:
+    def test_identical_file_contents_keep_their_own_findings(
+        self, make_project
+    ):
+        root = make_project(
+            {
+                "repro/a.py": "bad = x != 0.5\n",
+                "repro/b.py": "bad = x != 0.5\n",
+            }
+        )
+        result = lint_paths([root])
+        names = [f.path.rsplit("/", 1)[-1] for f in result.findings]
+        assert names == ["a.py", "b.py"]
+
+    def test_report_is_deterministic_json(self, make_project):
+        root = make_project(SCATTERED)
+        result = lint_paths([root])
+        report = json_report(result.findings, [], result.files_checked,
+                             result.suppressed)
+        doc = json.loads(report)
+        paths = [f["path"] for f in doc["findings"]]
+        assert paths == sorted(paths)
+        assert {f["rule"] for f in doc["findings"]} >= {"PFM003", "PFM010"}
+        again = lint_paths([root])
+        assert json_report(again.findings, [], again.files_checked,
+                           again.suppressed) == report
 
 
 class TestFingerprints:

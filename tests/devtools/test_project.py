@@ -3,6 +3,7 @@
 import ast
 
 from repro.devtools.lint.engine import iter_python_files, parse_suppressions
+from repro.devtools.lint.findings import ModuleContext
 from repro.devtools.lint.project import (
     build_module_summary,
     build_project_model,
@@ -20,7 +21,9 @@ def model_for(root, suppress=False):
             source = handle.read()
         suppressions = parse_suppressions(source) if suppress else {}
         summaries.append(
-            build_module_summary(ast.parse(source), module, path, suppressions)
+            build_module_summary(
+                ModuleContext(path, source, ast.parse(source)), module, suppressions
+            )
         )
     return build_project_model(summaries)
 
@@ -281,7 +284,9 @@ class TestDeterminism:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
             summaries.append(
-                build_module_summary(ast.parse(source), module, path, {})
+                build_module_summary(
+                    ModuleContext(path, source, ast.parse(source)), module, {}
+                )
             )
         forward = build_project_model(summaries)
         backward = build_project_model(list(reversed(summaries)))
