@@ -107,11 +107,11 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         [instrumented.healthy, *instrumented.attacked],
         strict=True,
     ):
-        assert on.availability == off.availability, off.scenario.name
+        assert on.availability == off.availability, off.spec.scenario
         assert on.failures == off.failures
         assert on.mea_iterations == off.mea_iterations
         assert on.telemetry_events > 0
-        assert Path(on.trace_path).exists()
+        assert Path(on.artifacts["trace_path"]).exists()
 
     wall_off = sum(
         r.wall_seconds for r in [plain.healthy, *plain.attacked]
@@ -132,7 +132,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
             "horizon_days": HORIZON / 86_400.0,
             "seed": SEED,
             "seeds": plain.seeds,
-            "scenarios": [r.scenario.name for r in [plain.healthy, *plain.attacked]],
+            "scenarios": [r.spec.scenario for r in [plain.healthy, *plain.attacked]],
             # run_campaign rides the fleet runner; injected pre-trained
             # models force the serial backend (see run_campaign docs).
             "backend": "fleet-serial",
@@ -140,7 +140,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         "availability": {
             "no_pfm_baseline": plain.baseline_availability,
             **{
-                r.scenario.name: r.availability
+                r.spec.scenario: r.availability
                 for r in [plain.healthy, *plain.attacked]
             },
         },
@@ -151,7 +151,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
             "disabled_per_cycle_us": per_cycle * 1e6,
             "disabled_overhead_pct": 100.0 * disabled_overhead,
             "events_per_scenario": {
-                r.scenario.name: r.telemetry_events
+                r.spec.scenario: r.telemetry_events
                 for r in [instrumented.healthy, *instrumented.attacked]
             },
         },

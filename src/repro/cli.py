@@ -120,16 +120,12 @@ def _cmd_case_study(args: argparse.Namespace) -> None:
 
 def _cmd_closed_loop(args: argparse.Namespace) -> None:
     from repro.core import run_closed_loop
-    from repro.fleet import RunSpec
 
-    spec = RunSpec(
-        scenario="closed-loop",
-        seed=args.train_seed,
+    result = run_closed_loop(
         train_seed=args.train_seed,
         eval_seed=args.eval_seed,
         horizon=args.days * 86_400.0,
     )
-    result = run_closed_loop(spec=spec)
     print(result.summary())
 
 
@@ -198,7 +194,6 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         ledger_path=args.ledger,
         progress=progress,
         artifact_store=args.artifact_store,
-        chunk_size=args.chunk_size,
         retry=retry,
         retry_failed=args.retry_failed,
         chaos=chaos,
@@ -448,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="shared trained-model store: pre-warm each unique training "
         "configuration once, workers load instead of re-training",
-    )
-    fleet.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="shards per submitted chunk (default: sized to the workers)",
     )
     fleet.add_argument(
         "--telemetry", action="store_true", help="instrument every shard"

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.actions.checkpoint import PreparedRepairAction, RepairBreakdown
 from repro.core.controller import PFMController
-from repro.fleet.spec import RunSpec
 from repro.prediction.base import Predictor
 from repro.prediction.registry import make_predictor
 from repro.simulator.events import Timeout
@@ -253,16 +252,13 @@ def run_closed_loop(
     config: DatasetConfig | None = None,
     trained: tuple[Predictor, np.ndarray] | None = None,
     telemetry=None,
-    spec: RunSpec | None = None,
 ) -> ClosedLoopResult:
     """Train, then compare baseline vs PFM on an identical faultload.
 
-    A :class:`~repro.fleet.spec.RunSpec` is the preferred way to describe
-    the run: ``run_closed_loop(spec=RunSpec(seed=21, horizon=86_400.0))``
-    resolves seeds, horizon, variables and the predictor (through
-    :func:`repro.prediction.make_predictor`) from the spec; the legacy
-    keyword arguments remain for existing callers and must not be mixed
-    with a spec.
+    Without ``predictor`` or ``trained``, the default UBF is trained on
+    the ``train_seed`` simulation (see :func:`train_predictor`).  Fleet
+    shards describe the same run as a :class:`~repro.fleet.spec.RunSpec`
+    (scenario ``closed-loop``).
 
     Pass ``trained = (fitted_predictor, training_scores)`` to skip the
     training simulation (fleet shards sharing one trained model do
@@ -271,19 +267,6 @@ def run_closed_loop(
     quality gauges); the hub is finalized (pending predictions settled,
     ``run.end`` emitted) before this returns.
     """
-    if spec is not None:
-        seeds = spec.seeds()
-        train_seed = seeds["train"]
-        eval_seed = seeds["eval"]
-        horizon = spec.horizon
-        if spec.variables is not None:
-            variables = list(spec.variables)
-        if predictor is None and trained is None:
-            predictor = make_predictor(
-                spec.predictor,
-                rng=np.random.default_rng(train_seed),
-                **spec.params(),
-            )
     variables = variables or DEFAULT_VARIABLES
     base_config = config or DatasetConfig()
     train_config = replace(base_config, seed=train_seed, horizon=horizon)

@@ -43,13 +43,10 @@ __all__ = [
     "bootstrap_ci",
     "collect_report",
     "execute_spec",
-    "executor_names",
     "prewarm_training",
     "render_html",
     "render_markdown",
-    "register_executor",
     "register_scenario_runner",
-    "register_training_plan",
     "run_fleet",
     "train_key_digest",
 ]
@@ -64,15 +61,12 @@ _LAZY = {
     "DETERMINISTIC": ("repro.fleet.failures", "DETERMINISTIC"),
     "INFRASTRUCTURE": ("repro.fleet.failures", "INFRASTRUCTURE"),
     "classify_failure": ("repro.fleet.failures", "classify_failure"),
-    "executor_names": ("repro.fleet.executors", "executor_names"),
-    "register_executor": ("repro.fleet.executors", "register_executor"),
     "ShardLedger": ("repro.fleet.ledger", "ShardLedger"),
     "collect_report": ("repro.fleet.report", "collect_report"),
     "render_markdown": ("repro.fleet.report", "render_markdown"),
     "render_html": ("repro.fleet.report", "render_html"),
     "execute_spec": ("repro.fleet.shards", "execute_spec"),
     "register_scenario_runner": ("repro.fleet.shards", "register_scenario_runner"),
-    "register_training_plan": ("repro.fleet.shards", "register_training_plan"),
     "run_fleet": ("repro.fleet.runner", "run_fleet"),
 }
 

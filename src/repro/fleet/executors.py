@@ -1,12 +1,9 @@
 """Executor backends: the seam between ``run_fleet`` and its workers.
 
-``run_fleet`` used to wire a ``ProcessPoolExecutor`` inline, which made
-the serial path a separate code branch and left no room for other
-executors (a distributed one, a thread pool for IO-bound scenario
-runners, ...).  This module extracts the minimal protocol the runner
-actually needs — ``submit`` / ``as_completed`` / ``shutdown``, shaped
-after :mod:`concurrent.futures` — and a registry so new backends are
-drop-in:
+The runner needs only ``submit`` / ``as_completed`` / ``shutdown``,
+shaped after :mod:`concurrent.futures`, so the serial path is the same
+code as the parallel one.  ``run_fleet(backend=...)`` picks one of the
+two classes here:
 
 - :class:`SerialExecutor` queues tasks at ``submit`` time and runs them
   one at a time, lazily, as :meth:`~SerialExecutor.as_completed` is
@@ -20,19 +17,15 @@ ProcessPoolExecutor`; completed futures are yielded in *submission*
 
 Both yield plain :class:`concurrent.futures.Future` objects (or the
 process pool's), so the runner handles results, exceptions and
-cancellation uniformly.  Register additional backends with
-:func:`register_executor`; ``run_fleet(backend=name)`` resolves through
-:func:`create_executor`.
+cancellation uniformly.
 
 The supervisor contract: executors are *disposable*.  When a failure is
 pool-fatal (``BrokenExecutor`` — see :mod:`repro.fleet.failures`), the
-runner's supervisor loop discards the instance and builds a fresh one
-through :func:`create_executor`, so a factory must be safely callable
-many times per fleet run.  After a pool breaks, every outstanding future
-must still complete (with the broken-pool exception) so ``as_completed``
-terminates, and ``submit`` should raise rather than hang — exactly the
-``ProcessPoolExecutor`` semantics.  A custom backend that cannot honor
-this can still run fleets; it just won't survive its own death.
+runner's supervisor loop discards the instance and builds a fresh one.
+After a pool breaks, every outstanding future still completes (with the
+broken-pool exception) so ``as_completed`` terminates, and ``submit``
+raises rather than hangs — exactly the ``ProcessPoolExecutor``
+semantics.
 """
 
 from __future__ import annotations
@@ -40,13 +33,9 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Callable
 
-from repro.errors import ConfigurationError
-
 
 class SerialExecutor:
     """Run submitted tasks in this process, in submission order, lazily."""
-
-    name = "serial"
 
     def __init__(
         self, workers: int = 1, initializer: Callable | None = None, initargs=()
@@ -90,8 +79,6 @@ class SerialExecutor:
 class ProcessExecutor:
     """A ``ProcessPoolExecutor`` behind the fleet executor protocol."""
 
-    name = "process"
-
     def __init__(
         self, workers: int, initializer: Callable | None = None, initargs=()
     ) -> None:
@@ -132,44 +119,3 @@ class ProcessExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-#: name -> factory(workers, initializer, initargs) -> executor
-_EXECUTORS: dict[str, Callable] = {
-    "serial": SerialExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def executor_names() -> tuple[str, ...]:
-    """The registered backend names, sorted (for messages and docs)."""
-    return tuple(sorted(_EXECUTORS))
-
-
-def register_executor(name: str, factory: Callable, overwrite: bool = False) -> None:
-    """Make ``run_fleet(backend=name)`` resolve to ``factory``.
-
-    ``factory(workers, initializer=..., initargs=...)`` must return an
-    object with the ``submit`` / ``as_completed`` / ``shutdown`` shape
-    above.  This is the drop-in point for a future distributed executor.
-    """
-    if name in _EXECUTORS and not overwrite:
-        raise ConfigurationError(f"executor backend {name!r} already registered")
-    _EXECUTORS[name] = factory
-
-
-def create_executor(
-    name: str, workers: int, initializer: Callable | None = None, initargs=()
-):
-    """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _EXECUTORS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; use one of {executor_names()}"
-        ) from None
-    return factory(workers, initializer=initializer, initargs=initargs)

@@ -1,6 +1,6 @@
 """The fleet runner: fan a grid of shards across supervised workers.
 
-Backends live behind the executor seam (:mod:`repro.fleet.executors`):
+Two backends sit behind the executor seam (:mod:`repro.fleet.executors`):
 
 - ``serial`` — run every shard in this process, in key order.  The
   debugging backend: breakpoints work, tracebacks are local, and the
@@ -10,9 +10,6 @@ Backends live behind the executor seam (:mod:`repro.fleet.executors`):
   Workers inherit the registered scenario runners (the pool forks after
   imports) and, with an ``artifact_store``, *load* pre-trained models
   instead of re-training them.
-- anything registered via
-  :func:`repro.fleet.executors.register_executor` — a distributed
-  executor drops in without touching this module.
 
 Three mechanisms make parallelism actually pay:
 
@@ -22,7 +19,8 @@ Three mechanisms make parallelism actually pay:
    content-addressed store; workers load, never train.  Without it the
    per-worker training caches are cold and every worker re-trains.
 2. **Chunked scheduling** — pending shards are submitted in key-ordered
-   chunks so pool/pickle overhead is paid per chunk, not per shard.
+   chunks (:func:`default_chunk_size`) so pool/pickle overhead is paid
+   per chunk, not per shard.
 3. **In-order commit** — chunk results are buffered and committed in
    chunk-index (= spec-key) order, so ledger line order, ``progress``
    callback order, and the failure report are all byte-stable run to
@@ -75,7 +73,7 @@ from repro.fleet.artifacts import (
     prewarm_training,
     worker_store_initializer,
 )
-from repro.fleet.executors import create_executor, executor_names
+from repro.fleet.executors import ProcessExecutor, SerialExecutor
 from repro.fleet.failures import (
     DETERMINISTIC,
     INFRASTRUCTURE,
@@ -105,7 +103,7 @@ from repro.telemetry.tracing import (
     merge_fleet_trace,
 )
 
-#: The built-in backends (dynamic registrations extend executor_names()).
+#: The backends ``run_fleet`` accepts.
 BACKENDS = ("serial", "process")
 
 #: Scheduling waves per worker: chunks are sized so each worker sees
@@ -189,8 +187,6 @@ def run_fleet(
     ledger_path: str | None = None,
     progress=None,
     artifact_store: ArtifactStore | str | None = None,
-    prewarm: bool = True,
-    chunk_size: int | None = None,
     retry: RetryPolicy | None = None,
     retry_failed: bool = False,
     chaos: ChaosConfig | None = None,
@@ -205,10 +201,10 @@ def run_fleet(
         The grid (see :func:`repro.fleet.grid`).  Keys must be unique —
         a duplicate spec would silently double-weight a distribution.
     backend:
-        ``"process"`` (default), ``"serial"``, or any backend registered
-        with :func:`repro.fleet.executors.register_executor`.
+        ``"process"`` (default) or ``"serial"`` (see :data:`BACKENDS`).
     workers:
-        Process-pool size.  The serial backend runs exactly one worker:
+        Process-pool size (at least 1; default :func:`default_workers`).
+        The serial backend runs exactly one worker:
         passing ``workers > 1`` with ``backend="serial"`` raises a
         :class:`~repro.errors.FleetConfigWarning` instead of silently
         ignoring the value.
@@ -223,17 +219,10 @@ def run_fleet(
         this).  Commit order is spec-key order, deterministically.
     artifact_store:
         Root directory (or :class:`~repro.fleet.artifacts.ArtifactStore`)
-        for shared trained-model artifacts.  Enables the pre-warm pass
-        and worker-side artifact loading; omit to keep the historical
-        train-per-process behavior.
-    prewarm:
-        With an ``artifact_store``, train each unique training
-        configuration once in this process before fan-out (default).
-        Set ``False`` to let workers train-and-publish on first miss
-        instead (first-come duplication, but no up-front serial phase).
-    chunk_size:
-        Shards per submitted chunk; default
-        :func:`default_chunk_size` (``workers * CHUNK_WAVES`` chunks).
+        for shared trained-model artifacts.  Each unique training
+        configuration is trained once in this process before fan-out
+        (the pre-warm pass) and workers load it; omit to keep the
+        historical train-per-process behavior.
     retry:
         Retry budget for *infrastructure* failures (worker death, broken
         pool, torn reads); default :data:`DEFAULT_RETRY` (3 attempts per
@@ -275,14 +264,14 @@ def run_fleet(
         *all* failures (this run's and, on resume, the ledger's skipped
         ones), sorted by spec key.
     """
-    if backend not in executor_names():
+    if backend not in BACKENDS:
         raise ConfigurationError(
-            f"unknown backend {backend!r}; use one of {executor_names()}"
+            f"unknown backend {backend!r}; use one of {BACKENDS}"
         )
     if not specs:
         raise ConfigurationError("need at least one RunSpec")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if backend == "serial" and workers not in (None, 1):
         warnings.warn(
             FleetConfigWarning(
@@ -324,11 +313,8 @@ def run_fleet(
     total = len(keyed)
     done = len(results)
     pool_workers = 1 if backend == "serial" else (workers or default_workers())
-    size = (
-        chunk_size
-        if chunk_size is not None
-        else default_chunk_size(len(pending), pool_workers)
-    )
+    executor_class = SerialExecutor if backend == "serial" else ProcessExecutor
+    size = default_chunk_size(len(pending), pool_workers)
     chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
     chunk_keys = [[spec.key() for spec in chunk] for chunk in chunks]
     wall_start = time.perf_counter()
@@ -365,7 +351,6 @@ def run_fleet(
                 torn_artifact_probability=chaos.torn_artifact_probability,
             )
 
-    fleet_metrics = MetricsRegistry()
     recovery = {
         "retries": 0,
         "worker_restarts": 0,
@@ -489,7 +474,6 @@ def run_fleet(
         while pending_units and not aborted:
             if not first_executor:
                 recovery["worker_restarts"] += 1
-                fleet_metrics.counter("fleet_worker_restarts_total").inc()
                 if recorder is not None:
                     recorder.event(
                         FLEET_WORKER_RESTART,
@@ -498,8 +482,8 @@ def run_fleet(
                     )
             first_executor = False
             broken = False
-            with create_executor(
-                backend, pool_workers, initializer=initializer, initargs=initargs
+            with executor_class(
+                pool_workers, initializer=initializer, initargs=initargs
             ) as executor:
                 index_of: dict = {}
 
@@ -526,18 +510,13 @@ def run_fleet(
                     """Retry one infrastructure-failed spec, or quarantine."""
                     key = spec.key()
                     recovery["infrastructure_failures"] += 1
-                    fleet_metrics.counter(
-                        "fleet_shard_failures_total", kind=INFRASTRUCTURE
-                    ).inc()
                     if aborted:
                         return  # abandoned, like a cancelled future
                     if attempts.get(key, 1) >= retry_policy.max_attempts:
                         resolved[idx][key] = ("quarantined", exc)
                         recovery["quarantined"] += 1
-                        fleet_metrics.counter("fleet_quarantined_total").inc()
                         return
                     recovery["retries"] += 1
-                    fleet_metrics.counter("fleet_retries_total").inc()
                     if recorder is not None:
                         recorder.event(
                             FLEET_RETRY,
@@ -593,9 +572,6 @@ def run_fleet(
                                     newly_failed = True
                     if newly_failed:
                         recovery["deterministic_failures"] += 1
-                        fleet_metrics.counter(
-                            "fleet_shard_failures_total", kind=DETERMINISTIC
-                        ).inc()
                         if not aborted:
                             # Stop scheduling; running chunks finish
                             # (shutdown waits) so they still checkpoint.
@@ -617,7 +593,7 @@ def run_fleet(
 
     try:
         configure_artifact_store(store)
-        if store is not None and prewarm and pending:
+        if store is not None and pending:
             prewarm_stats = prewarm_training(pending, store)
         if pending:
             _supervise()
@@ -660,8 +636,32 @@ def run_fleet(
             },
         },
         quarantined=sorted(quarantined, key=lambda q: q["key"]),
-        fleet_metrics=fleet_metrics,
+        fleet_metrics=_recovery_metrics(recovery),
     )
+
+
+#: ``recovery`` tally -> the Prometheus counter (name, labels) it feeds.
+_RECOVERY_COUNTERS = (
+    ("worker_restarts", "fleet_worker_restarts_total", {}),
+    ("retries", "fleet_retries_total", {}),
+    ("quarantined", "fleet_quarantined_total", {}),
+    ("infrastructure_failures", "fleet_shard_failures_total",
+     {"kind": INFRASTRUCTURE}),
+    ("deterministic_failures", "fleet_shard_failures_total",
+     {"kind": DETERMINISTIC}),
+)
+
+
+def _recovery_metrics(recovery: dict) -> MetricsRegistry:
+    """The ``fleet_*`` counters of one run, built from its recovery tally.
+
+    Only non-zero tallies become counters, so a clean run exports none.
+    """
+    registry = MetricsRegistry()
+    for tally, name, labels in _RECOVERY_COUNTERS:
+        if recovery[tally]:
+            registry.counter(name, **labels).inc(float(recovery[tally]))
+    return registry
 
 
 def _raise_failures(

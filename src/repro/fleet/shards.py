@@ -16,7 +16,9 @@ Scenario dispatch is by name:
   ``healthy-pfm``, and any attacked scenario whose attack surfaces are
   carried in ``spec.options["attacks"]``.
 
-Custom workloads plug in via :func:`register_scenario_runner`.
+Custom workloads plug in via :func:`register_scenario_runner`, which
+records a scenario's runner and, optionally, its training plan in one
+table entry.
 """
 
 from __future__ import annotations
@@ -78,24 +80,34 @@ def clear_training_cache() -> None:
 # Scenario runners
 # ----------------------------------------------------------------------
 
-_RUNNERS: dict[str, Callable[[RunSpec], RunResult]] = {}
+#: scenario name -> (runner, training plan or None)
+_SCENARIOS: dict[str, tuple[Callable[[RunSpec], RunResult], Callable | None]] = {}
 
 
 def register_scenario_runner(
-    name: str, runner: Callable[[RunSpec], RunResult], overwrite: bool = False
+    name: str,
+    runner: Callable[[RunSpec], RunResult],
+    plan: Callable | None = None,
+    overwrite: bool = False,
 ) -> None:
-    """Make scenario ``name`` executable by the fleet.
+    """Make scenario ``name`` executable (and pre-warmable) by the fleet.
 
-    The runner receives the spec and must return a :class:`RunResult`.
-    Registration happens at import time of the defining module, so worker
-    processes inherit it (the pool forks after imports).
+    ``runner(spec)`` must return a :class:`RunResult`.  ``plan(spec)``
+    returns ``(train_key, builder)`` — the exact pair the runner hands to
+    :func:`cached_training` — or ``None`` for specs that need no
+    training; scenarios without a plan still run, they just cannot be
+    pre-warmed.  Registration happens at import time of the defining
+    module, so worker processes inherit it (the pool forks after
+    imports).
     """
-    if name in _RUNNERS and not overwrite:
+    if name in _SCENARIOS and not overwrite:
         raise ConfigurationError(f"scenario runner {name!r} already registered")
-    _RUNNERS[name] = runner
+    _SCENARIOS[name] = (runner, plan)
 
 
-def _closed_loop_dataset(spec: RunSpec):
+def _closed_loop_inputs(spec: RunSpec):
+    """``(seeds, variables, base dataset config)`` of a closed-loop shard."""
+    from repro.core.experiment import DEFAULT_VARIABLES
     from repro.telecom.dataset import DatasetConfig
 
     base = spec.option("dataset")
@@ -103,7 +115,8 @@ def _closed_loop_dataset(spec: RunSpec):
         base = DatasetConfig()
     elif isinstance(base, dict):
         base = DatasetConfig(**base)
-    return base
+    variables = list(spec.variables) if spec.variables else list(DEFAULT_VARIABLES)
+    return spec.seeds(), variables, base
 
 
 def _closed_loop_training_plan(spec: RunSpec):
@@ -117,11 +130,7 @@ def _closed_loop_training_plan(spec: RunSpec):
     from repro.core import experiment
     from repro.prediction.registry import make_predictor
 
-    seeds = spec.seeds()
-    variables = (
-        list(spec.variables) if spec.variables else list(experiment.DEFAULT_VARIABLES)
-    )
-    base = _closed_loop_dataset(spec)
+    seeds, variables, base = _closed_loop_inputs(spec)
     train_config = dc_replace(base, seed=seeds["train"], horizon=spec.horizon)
 
     train_key = (
@@ -149,11 +158,7 @@ def _closed_loop_runner(spec: RunSpec) -> RunResult:
     from repro.core import experiment
     from repro.telemetry.hub import TelemetryHub
 
-    seeds = spec.seeds()
-    variables = (
-        list(spec.variables) if spec.variables else list(experiment.DEFAULT_VARIABLES)
-    )
-    base = _closed_loop_dataset(spec)
+    seeds, variables, base = _closed_loop_inputs(spec)
     trained = cached_training(*_closed_loop_training_plan(spec))
 
     hub = TelemetryHub() if spec.telemetry else None
@@ -189,46 +194,33 @@ def _closed_loop_runner(spec: RunSpec) -> RunResult:
     )
 
 
-register_scenario_runner(CLOSED_LOOP, _closed_loop_runner)
+register_scenario_runner(CLOSED_LOOP, _closed_loop_runner, _closed_loop_training_plan)
 
 
-# ----------------------------------------------------------------------
-# Training plans (what the artifact-store pre-warm pass walks)
-# ----------------------------------------------------------------------
-
-#: scenario name -> plan(spec) -> (train_key, builder) | None
-_TRAINING_PLANS: dict[str, Callable] = {CLOSED_LOOP: _closed_loop_training_plan}
-
-
-def register_training_plan(name: str, plan: Callable, overwrite: bool = False) -> None:
-    """Declare how scenario ``name`` trains, for pre-warming.
-
-    ``plan(spec)`` returns ``(train_key, builder)`` — the exact pair the
-    scenario's runner hands to :func:`cached_training` — or ``None`` for
-    specs that need no training.  Scenarios without a registered plan
-    still run; they just cannot be pre-warmed.
-    """
-    if name in _TRAINING_PLANS and not overwrite:
-        raise ConfigurationError(f"training plan {name!r} already registered")
-    _TRAINING_PLANS[name] = plan
-
-
-def training_plan(spec: RunSpec):
-    """``(train_key, builder)`` for ``spec``, or ``None`` when unknown.
+def _scenario_entry(spec: RunSpec):
+    """``(runner, plan)`` for ``spec``, or ``None`` when no scenario fits.
 
     Campaign scenarios resolve lazily through
-    :func:`repro.resilience.campaign.training_plan_for_spec`, mirroring
-    :func:`execute_spec`'s runner dispatch.
+    :mod:`repro.resilience.campaign` (importing it here would pull the
+    whole experiment stack into the fleet substrate): its runner and
+    training plan serve every built-in campaign name and any spec that
+    carries its attack surfaces in ``options["attacks"]``.
     """
-    plan = _TRAINING_PLANS.get(spec.scenario)
-    if plan is None:
+    entry = _SCENARIOS.get(spec.scenario)
+    if entry is None:
         from repro.resilience import campaign
 
         if campaign.knows_scenario(spec):
-            plan = campaign.training_plan_for_spec
-        else:
-            return None
-    return plan(spec)
+            entry = (campaign.run_scenario_spec, campaign.training_plan_for_spec)
+    return entry
+
+
+def training_plan(spec: RunSpec):
+    """``(train_key, builder)`` for ``spec``, or ``None`` when unknown."""
+    entry = _scenario_entry(spec)
+    if entry is None or entry[1] is None:
+        return None
+    return entry[1](spec)
 
 
 def execute_spec(spec: RunSpec, attempt: int = 1) -> RunResult:
@@ -248,17 +240,15 @@ def execute_spec(spec: RunSpec, attempt: int = 1) -> RunResult:
     trace is complete.  Tracing reads the hubs, never mutates them, so
     results are identical with tracing on or off.
     """
-    runner = _RUNNERS.get(spec.scenario)
-    if runner is None:
-        from repro.resilience import campaign
+    entry = _scenario_entry(spec)
+    if entry is None:
+        from repro.resilience.campaign import known_scenario_names
 
-        if campaign.knows_scenario(spec):
-            runner = campaign.run_scenario_spec
-        else:
-            raise ConfigurationError(
-                f"no runner for scenario {spec.scenario!r}; known: "
-                f"{sorted(_RUNNERS) + sorted(campaign.known_scenario_names())}"
-            )
+        raise ConfigurationError(
+            f"no runner for scenario {spec.scenario!r}; known: "
+            f"{sorted(_SCENARIOS) + sorted(known_scenario_names())}"
+        )
+    runner = entry[0]
 
     from repro.telemetry import tracing
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -179,49 +179,15 @@ class CampaignConfig:
 
 
 @dataclass
-class ScenarioResult:
-    """One PFM run (healthy or attacked) on the shared faultload."""
-
-    scenario: PFMFaultScenario
-    availability: float
-    failures: int
-    mea_iterations: int
-    warnings_raised: int
-    actions_taken: int
-    attack_episodes: int
-    resilience: dict
-    # --- telemetry (populated when the campaign ran with telemetry on) --
-    warning_episodes: int = 0
-    telemetry_events: int = 0
-    online_quality: dict = field(default_factory=dict)
-    trace_path: str | None = None
-    metrics_state: list | None = None
-    wall_seconds: float = 0.0
-    #: Training-time quality comparison of the primary (fused and, for an
-    #: ensemble, per member) against the secondary — see
-    #: :func:`_predictor_quality`.  Identical across rows of one campaign
-    #: (the models are trained once and shared).
-    predictor_quality: dict = field(default_factory=dict)
-
-    @property
-    def step_failures(self) -> int:
-        """Total MEA step failures surfaced as StepFailure records."""
-        return sum(self.resilience["step_failures"].values())
-
-    @property
-    def cycle_survived(self) -> bool:
-        """True when the MEA loop kept iterating (never died silently)."""
-        return self.mea_iterations > 0
-
-
-@dataclass
 class CampaignReport:
     """The graceful-degradation comparison across all scenarios."""
 
     baseline_availability: float
     baseline_failures: int
-    healthy: ScenarioResult
-    attacked: list[ScenarioResult]
+    #: The healthy-PFM and attacked shards; each row's scenario name is
+    #: ``spec.scenario`` and its attack tags ``spec.option("attacks")``.
+    healthy: RunResult
+    attacked: list[RunResult]
     horizon: float
     #: The resolved RNG seeds, echoed so any row can be reproduced.
     seeds: dict = field(default_factory=dict)
@@ -231,9 +197,9 @@ class CampaignReport:
     @property
     def predictor_quality(self) -> dict:
         """Training-grid quality comparison (shared by every PFM row)."""
-        return self.healthy.predictor_quality
+        return self.healthy.artifacts.get("predictor_quality") or {}
 
-    def graceful(self, result: ScenarioResult) -> bool:
+    def graceful(self, result: RunResult) -> bool:
         """Did this attacked run degrade gracefully?
 
         The cycle must have survived to keep producing records, and the
@@ -241,7 +207,7 @@ class CampaignReport:
         all (tiny float tolerance: "no worse" must not fail on a 1e-12
         rounding difference).
         """
-        return result.cycle_survived and (
+        return _cycle_survived(result) and (
             result.availability >= self.baseline_availability - 1e-9
         )
 
@@ -265,9 +231,9 @@ class CampaignReport:
         for result in [self.healthy, *self.attacked]:
             graceful = "-" if result is self.healthy else str(self.graceful(result))
             lines.append(
-                f"{result.scenario.name:<24s} {result.availability:7.4f} "
+                f"{result.spec.scenario:<24s} {result.availability:7.4f} "
                 f"{result.failures:5d} {result.warnings_raised:5d} "
-                f"{result.actions_taken:4d} {result.step_failures:8d} "
+                f"{result.actions_taken:4d} {_step_failures(result):8d} "
                 f"{result.resilience['fallback_scores']:8d} {graceful:>8s}"
             )
         lines.append(f"all attacked scenarios graceful: {self.all_graceful}")
@@ -300,9 +266,10 @@ class CampaignReport:
                     f"auc margin {margin:+.4f}"
                 )
         for result in [self.healthy, *self.attacked]:
-            if result.trace_path:
+            trace_path = result.artifacts.get("trace_path")
+            if trace_path:
                 lines.append(
-                    f"trace [{result.scenario.name}]: {result.trace_path} "
+                    f"trace [{result.spec.scenario}]: {trace_path} "
                     f"({result.telemetry_events} events)"
                 )
         return "\n".join(lines)
@@ -316,24 +283,24 @@ class CampaignReport:
         identical document.
         """
 
-        def row(result: ScenarioResult) -> dict:
+        def row(result: RunResult) -> dict:
             return {
-                "scenario": result.scenario.name,
-                "attacks": list(result.scenario.attacks),
+                "scenario": result.spec.scenario,
+                "attacks": list(result.spec.option("attacks") or ()),
                 "availability": result.availability,
                 "failures": result.failures,
                 "mea_iterations": result.mea_iterations,
                 "warnings_raised": result.warnings_raised,
                 "actions_taken": result.actions_taken,
                 "attack_episodes": result.attack_episodes,
-                "step_failures": result.step_failures,
-                "cycle_survived": result.cycle_survived,
+                "step_failures": _step_failures(result),
+                "cycle_survived": _cycle_survived(result),
                 "graceful": None if result is self.healthy else self.graceful(result),
                 "resilience": result.resilience,
                 "warning_episodes": result.warning_episodes,
                 "telemetry_events": result.telemetry_events,
                 "online_quality": result.online_quality,
-                "trace_path": result.trace_path,
+                "trace_path": result.artifacts.get("trace_path"),
                 "wall_seconds": result.wall_seconds,
             }
 
@@ -351,7 +318,7 @@ class CampaignReport:
                 "attacked": [
                     row(result)
                     for result in sorted(
-                        self.attacked, key=lambda r: r.scenario.name
+                        self.attacked, key=lambda r: r.spec.scenario
                     )
                 ],
                 "all_graceful": self.all_graceful,
@@ -359,6 +326,16 @@ class CampaignReport:
             indent=2,
             sort_keys=True,
         )
+
+
+def _step_failures(result: RunResult) -> int:
+    """Total MEA step failures surfaced as StepFailure records."""
+    return sum(result.resilience["step_failures"].values())
+
+
+def _cycle_survived(result: RunResult) -> bool:
+    """True when the MEA loop kept iterating (never died silently)."""
+    return result.mea_iterations > 0
 
 
 def _train_models(
@@ -510,15 +487,20 @@ def _build_injectors(
 
 
 def _run_scenario(
-    scenario: PFMFaultScenario,
+    spec: RunSpec,
     config: CampaignConfig,
     variables: list[str],
     primary,
     secondary,
     training_scores: np.ndarray,
-    quality: dict | None = None,
-) -> ScenarioResult:
-    """One PFM run on the evaluation faultload under this scenario's attacks."""
+    quality: dict,
+) -> RunResult:
+    """One PFM run on the evaluation faultload under the spec's attacks.
+
+    The shard carries its trace path and the training-grid predictor
+    quality back through the fleet in ``artifacts``.
+    """
+    scenario = _scenario_from_spec(spec)
     base = config.dataset or DatasetConfig()
     eval_config = replace(base, seed=config.eval_seed, horizon=config.horizon)
     sim = prepare_simulation(eval_config)
@@ -560,16 +542,19 @@ def _run_scenario(
         injector.stop()
     controller.finalize_telemetry()
 
-    trace_path = None
+    artifacts: dict = {}
     if config.telemetry_dir is not None:
         os.makedirs(config.telemetry_dir, exist_ok=True)
         trace_path = os.path.join(
             config.telemetry_dir, f"trace_{scenario.name}.jsonl"
         )
         export_jsonl(hub, trace_path)
+        artifacts["trace_path"] = trace_path
+    if quality:
+        artifacts["predictor_quality"] = quality
 
-    return ScenarioResult(
-        scenario=scenario,
+    return RunResult(
+        spec=spec,
         availability=dataset.system.sla.overall_availability(),
         failures=len(dataset.failure_log),
         mea_iterations=len(controller.mea.history),
@@ -580,24 +565,15 @@ def _run_scenario(
         warning_episodes=len(controller.warnings),
         telemetry_events=len(hub.events),
         online_quality=controller.quality.summary() if config.telemetry else {},
-        trace_path=trace_path,
         metrics_state=hub.registry.to_state() if config.telemetry else None,
+        artifacts=artifacts,
         wall_seconds=wall_seconds,
-        predictor_quality=quality or {},
     )
 
 
 # ----------------------------------------------------------------------
 # Fleet integration: campaign scenarios as RunSpec shards
 # ----------------------------------------------------------------------
-
-#: Default episodic-attack knobs, mirrored from :class:`CampaignConfig`
-#: so a bare spec (no options) reproduces the default campaign exactly.
-_ATTACK_DEFAULTS = {
-    "attack_mtbf": 3_600.0,
-    "attack_duration": 1_200.0,
-    "attack_latency": 1_800.0,
-}
 
 _ATTACK_TAGS = (
     "monitoring_dropout",
@@ -652,7 +628,12 @@ def _scenario_from_spec(spec: RunSpec) -> PFMFaultScenario:
 
 
 def _config_from_spec(spec: RunSpec) -> CampaignConfig:
-    """The CampaignConfig one shard runs under (seeds resolved by the spec)."""
+    """The CampaignConfig one shard runs under (seeds resolved by the spec).
+
+    Attack knobs the spec does not carry take :class:`CampaignConfig`'s
+    defaults, so a bare spec (no options) reproduces the default campaign.
+    """
+    defaults = {f.name: f.default for f in fields(CampaignConfig)}
     seeds = spec.seeds()
     dataset = spec.option("dataset")
     if isinstance(dataset, dict):
@@ -664,13 +645,9 @@ def _config_from_spec(spec: RunSpec) -> CampaignConfig:
         horizon=spec.horizon,
         variables=list(spec.variables) if spec.variables is not None else None,
         dataset=dataset,
-        attack_mtbf=spec.option("attack_mtbf", _ATTACK_DEFAULTS["attack_mtbf"]),
-        attack_duration=spec.option(
-            "attack_duration", _ATTACK_DEFAULTS["attack_duration"]
-        ),
-        attack_latency=spec.option(
-            "attack_latency", _ATTACK_DEFAULTS["attack_latency"]
-        ),
+        attack_mtbf=spec.option("attack_mtbf", defaults["attack_mtbf"]),
+        attack_duration=spec.option("attack_duration", defaults["attack_duration"]),
+        attack_latency=spec.option("attack_latency", defaults["attack_latency"]),
         predictor=spec.option("predictor") or "ubf",
         telemetry=spec.telemetry,
         telemetry_dir=spec.option("telemetry_dir"),
@@ -782,55 +759,7 @@ def run_scenario_spec(spec: RunSpec) -> RunResult:
 
     variables = config.variables or list(DEFAULT_VARIABLES)
     trained = cached_training(*training_plan_for_spec(spec))
-    scenario = _scenario_from_spec(spec)
-    result = _run_scenario(scenario, config, variables, *trained)
-    return RunResult(
-        spec=spec,
-        availability=result.availability,
-        failures=result.failures,
-        mea_iterations=result.mea_iterations,
-        warnings_raised=result.warnings_raised,
-        warning_episodes=result.warning_episodes,
-        actions_taken=result.actions_taken,
-        attack_episodes=result.attack_episodes,
-        resilience=result.resilience,
-        online_quality=result.online_quality,
-        telemetry_events=result.telemetry_events,
-        metrics_state=result.metrics_state,
-        artifacts=_shard_artifacts(result),
-        wall_seconds=result.wall_seconds,
-    )
-
-
-def _shard_artifacts(result: ScenarioResult) -> dict:
-    """JSON-able extras a campaign shard carries back through the fleet."""
-    artifacts: dict = {}
-    if result.trace_path:
-        artifacts["trace_path"] = result.trace_path
-    if result.predictor_quality:
-        artifacts["predictor_quality"] = result.predictor_quality
-    return artifacts
-
-
-def _scenario_result(scenario: PFMFaultScenario, result: RunResult) -> ScenarioResult:
-    """Fold a fleet shard result back into the campaign's report row."""
-    return ScenarioResult(
-        scenario=scenario,
-        availability=result.availability,
-        failures=result.failures,
-        mea_iterations=result.mea_iterations,
-        warnings_raised=result.warnings_raised,
-        actions_taken=result.actions_taken,
-        attack_episodes=result.attack_episodes,
-        resilience=result.resilience,
-        warning_episodes=result.warning_episodes,
-        telemetry_events=result.telemetry_events,
-        online_quality=result.online_quality,
-        trace_path=result.artifacts.get("trace_path"),
-        metrics_state=result.metrics_state,
-        wall_seconds=result.wall_seconds,
-        predictor_quality=result.artifacts.get("predictor_quality") or {},
-    )
+    return _run_scenario(spec, config, variables, *trained)
 
 
 def run_campaign(
@@ -878,18 +807,11 @@ def run_campaign(
         progress=progress,
     )
     baseline = fleet.result_for(specs[0])
-    healthy = _scenario_result(
-        PFMFaultScenario(HEALTHY_PFM), fleet.result_for(specs[1])
-    )
-    attacked = [
-        _scenario_result(scenario, fleet.result_for(spec))
-        for scenario, spec in zip(config.scenarios, specs[2:], strict=True)
-    ]
     return CampaignReport(
         baseline_availability=baseline.availability,
         baseline_failures=baseline.failures,
-        healthy=healthy,
-        attacked=attacked,
+        healthy=fleet.result_for(specs[1]),
+        attacked=[fleet.result_for(spec) for spec in specs[2:]],
         horizon=config.horizon,
         seeds=config.seeds(),
         predictor=dict(config.predictor),

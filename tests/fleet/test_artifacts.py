@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ArtifactStoreWarning
+from repro.cli import main as cli_main
+from repro.errors import ArtifactStoreWarning, ConfigurationError
 from repro.fleet import RunResult, RunSpec, grid, run_fleet
 from repro.fleet.artifacts import (
     ArtifactStore,
@@ -28,7 +29,6 @@ from repro.fleet.shards import (
     cached_training,
     clear_training_cache,
     register_scenario_runner,
-    register_training_plan,
     training_plan,
 )
 
@@ -71,8 +71,11 @@ def _trained_runner(spec: RunSpec) -> RunResult:
     return RunResult(spec=spec, availability=0.95, failures=0)
 
 
-register_scenario_runner(TRAINED, _trained_runner, overwrite=True)
-register_training_plan(TRAINED, _trained_plan, overwrite=True)
+register_scenario_runner(TRAINED, _trained_runner, _trained_plan, overwrite=True)
+
+#: Registered without a training plan: runs, but cannot be pre-warmed.
+UNPLANNED = "fake-unplanned-scenario"
+register_scenario_runner(UNPLANNED, _trained_runner, overwrite=True)
 
 
 @pytest.fixture(autouse=True)
@@ -208,6 +211,12 @@ class TestPrewarm:
     def test_unplanned_scenarios_are_counted_not_trained(self, tmp_path):
         spec = RunSpec(scenario="no-pfm", seed=1, horizon=100.0)
         assert training_plan(spec) is None
+        assert training_plan(RunSpec(scenario=UNPLANNED)) is None
+        assert training_plan(RunSpec(scenario=TRAINED, seed=1))[0] == (
+            TRAINED,
+            1,
+            RunSpec().horizon,
+        )
         stats = prewarm_training([spec], ArtifactStore(str(tmp_path)))
         assert stats == {
             "unique_keys": 0,
@@ -218,6 +227,25 @@ class TestPrewarm:
 
 
 class TestFleetIntegration:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_training(self, tmp_path, workers):
+        specs = grid([TRAINED], seeds=range(2), horizon=100.0)
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_fleet(
+                specs,
+                backend="process",
+                workers=workers,
+                artifact_store=str(tmp_path / "store"),
+            )
+        assert _BUILDS["n"] == 0  # rejected before the pre-warm pass
+
+    def test_cli_workers_zero_rejected_before_training(self, tmp_path):
+        argv = ["fleet", "--scenario", TRAINED, "--seeds", "1,2", "--workers", "0"]
+        argv += ["--days", "0.01", "--artifact-store", str(tmp_path / "store")]
+        with pytest.raises(ConfigurationError, match="workers"):
+            cli_main(argv)
+        assert _BUILDS["n"] == 0
+
     def test_workers_load_instead_of_training(self, tmp_path):
         """With a pre-warmed store, no worker process ever trains."""
         markers = tmp_path / "markers"

@@ -78,7 +78,6 @@ class TestCrashRecovery:
             specs,
             backend="process",
             workers=2,
-            chunk_size=2,
             chaos=config,
             retry=RetryPolicy(max_attempts=MAX_ATTEMPT_SEARCHED + 2),
         )

@@ -1,56 +1,6 @@
-"""The executor seam: registry, serial laziness, drop-in backends."""
+"""The executor seam: the serial backend's laziness and cancellation."""
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.fleet import RunResult, RunSpec, grid, run_fleet
-from repro.fleet.executors import (
-    SerialExecutor,
-    create_executor,
-    executor_names,
-    register_executor,
-)
-from repro.fleet.shards import register_scenario_runner
-
-ECHO = "executor-echo"
-
-
-def _echo_runner(spec: RunSpec) -> RunResult:
-    return RunResult(spec=spec, availability=0.9, failures=spec.seed)
-
-
-register_scenario_runner(ECHO, _echo_runner, overwrite=True)
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert "serial" in executor_names()
-        assert "process" in executor_names()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            create_executor("threads", workers=2)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_executor("serial", SerialExecutor)
-
-    def test_custom_backend_drops_into_run_fleet(self):
-        """A registered executor is a first-class run_fleet backend."""
-
-        class CountingSerial(SerialExecutor):
-            submitted = 0
-
-            def submit(self, fn, *args):
-                CountingSerial.submitted += 1
-                return super().submit(fn, *args)
-
-        register_executor("counting-serial", CountingSerial, overwrite=True)
-        specs = grid([ECHO], seeds=range(4))
-        report = run_fleet(specs, backend="counting-serial", chunk_size=2)
-        assert len(report.results) == 4
-        assert CountingSerial.submitted == 2  # 4 shards / chunks of 2
-        assert report.timing["backend"] == "counting-serial"
+from repro.fleet.executors import SerialExecutor
 
 
 class TestSerialExecutor:

@@ -119,7 +119,7 @@ class TestCrossProcessDeterminism:
     def test_chunked_process_merge_equals_serial_merge_exactly(self):
         specs = _specs()
         serial = run_fleet(specs, backend="serial")
-        chunked = run_fleet(specs, backend="process", workers=2, chunk_size=2)
+        chunked = run_fleet(specs, backend="process", workers=2)
         assert (
             chunked.merged_metrics().to_state()
             == serial.merged_metrics().to_state()
@@ -149,7 +149,6 @@ class TestCrossProcessDeterminism:
             specs,
             backend="process",
             workers=2,
-            chunk_size=2,
             chaos=config,
             retry=RetryPolicy(max_attempts=6),
         )

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.fleet import RunResult, RunSpec, grid, run_fleet
 from repro.fleet.ledger import ShardLedger
+from repro.fleet import runner
 from repro.fleet.runner import default_chunk_size
 from repro.fleet.shards import execute_spec, register_scenario_runner
 
@@ -72,10 +73,6 @@ class TestValidation:
             run_fleet(grid([FAKE], seeds=[1]), backend="serial", workers=1)
             run_fleet(grid([FAKE], seeds=[1]), backend="serial", workers=None)
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            run_fleet(grid([FAKE], seeds=[1]), backend="serial", chunk_size=0)
-
 
 class TestBackends:
     def test_serial_runs_all_shards(self):
@@ -84,6 +81,9 @@ class TestBackends:
         assert len(report.results) == 6
         assert report.timing["backend"] == "serial"
         assert report.timing["executed"] == 6
+        # A clean run exports no recovery counters at all.
+        assert len(report.fleet_metrics) == 0
+        assert "fleet_" not in report.prometheus()
 
     def test_process_matches_serial_byte_for_byte(self):
         specs = grid([FAKE], seeds=range(8))
@@ -156,16 +156,10 @@ class TestChunking:
     def test_chunked_process_matches_serial_byte_for_byte(self):
         specs = grid([FAKE], seeds=range(8))
         serial = run_fleet(specs, backend="serial")
-        chunked = run_fleet(specs, backend="process", workers=2, chunk_size=3)
+        chunked = run_fleet(specs, backend="process", workers=2)
         assert serial.aggregate_json() == chunked.aggregate_json()
-        assert chunked.timing["chunks"] == 3
-        assert chunked.timing["chunk_size"] == 3
-
-    def test_oversized_chunk_is_one_submission(self):
-        report = run_fleet(grid([FAKE], seeds=range(4)), backend="serial",
-                           chunk_size=100)
-        assert report.timing["chunks"] == 1
-        assert len(report.results) == 4
+        assert chunked.timing["chunks"] == 4
+        assert chunked.timing["chunk_size"] == 2
 
 
 class TestDeterminism:
@@ -221,16 +215,16 @@ class TestDeterminism:
         assert ":seed2:" in info.value.failures[0]["key"]
         assert isinstance(info.value.__cause__, RuntimeError)
 
-    def test_all_failures_reported_process(self):
+    def test_all_failures_reported_process(self, monkeypatch):
         # One chunk holds every failing shard, so all three failures are
         # observed — and every one of them must appear in the aggregate
         # error, in spec-key order, not just the first.
+        monkeypatch.setattr(runner, "default_chunk_size", lambda n, workers: n)
         with pytest.raises(FleetExecutionError) as info:
             run_fleet(
                 grid([FAKE_BOOM], seeds=[6, 2, 4]),
                 backend="process",
                 workers=2,
-                chunk_size=3,
             )
         keys = [record["key"] for record in info.value.failures]
         assert keys == sorted(keys)

@@ -164,7 +164,7 @@ class TestDeterminism:
             trace_deterministic=True,
         )
         run_fleet(
-            specs, backend="process", workers=2, chunk_size=1,
+            specs, backend="process", workers=2,
             trace_dir=str(tmp_path / "process"), trace_deterministic=True,
         )
         serial_files = _shard_files(tmp_path / "serial")
@@ -238,7 +238,6 @@ class TestChaosOnTheTimeline:
             specs,
             backend="process",
             workers=2,
-            chunk_size=1,
             chaos=config,
             retry=RetryPolicy(max_attempts=5),
             trace_dir=str(tmp_path / "chaos"),

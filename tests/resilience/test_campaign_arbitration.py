@@ -46,9 +46,15 @@ class TestSpecPlumbing:
         """Bare-ubf campaigns keep their historical shard identities."""
         for spec in campaign_specs(CampaignConfig()):
             assert spec.option("predictor") is None
-        assert _config_from_spec(RunSpec(scenario="healthy-pfm")).predictor == {
-            "name": "ubf"
-        }
+        bare = _config_from_spec(RunSpec(scenario="healthy-pfm"))
+        assert bare.predictor == {"name": "ubf"}
+        # ... and the attack knobs a bare spec omits take the defaults.
+        defaults = CampaignConfig()
+        assert (bare.attack_mtbf, bare.attack_duration, bare.attack_latency) == (
+            defaults.attack_mtbf,
+            defaults.attack_duration,
+            defaults.attack_latency,
+        )
 
     def test_panel_rides_in_spec_options(self):
         config = CampaignConfig(predictor=PANEL)
@@ -91,7 +97,7 @@ class TestFusedCampaign:
 
     def test_campaign_stays_graceful_with_panel(self, report):
         assert report.all_graceful
-        assert report.healthy.cycle_survived
+        assert report.healthy.mea_iterations > 0
 
     def test_report_json_carries_the_panel(self, report):
         doc = json.loads(report.to_json())
