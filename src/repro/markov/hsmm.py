@@ -24,21 +24,29 @@ Inference (forward likelihood, Viterbi segmentation) runs in log space in
 
 Inference-core architecture
 ---------------------------
-The hot path is vectorized over the duration axis (``strategy="vectorized"``,
-the default): per time slot the admissible segment scores for *all*
-durations are assembled with one gather from the cumulative-emission table
-(:meth:`_segment_emissions`) and reduced with a single ``logsumexp`` /
-``argmax``, and the entry mass ``in(t, j)`` is maintained incrementally
-instead of being recomputed per duration.  The soft-EM E-step accumulates
-segment posteriors duration-major: per duration ``d`` all starts are
-handled at once, and per-slot emission mass is recovered from a
-difference-array (cumulative range-update) instead of walking every symbol
-of every candidate segment -- dropping the E-step from ``O(T^2 * D * N)``
-to ``O(T * D * N)``.  Log-parameters are memoized behind a
-parameter-version fingerprint so repeated scoring calls and the many table
-builds inside one EM iteration share a single ``_log_params`` computation.
-The original loop implementations are preserved verbatim behind
-``strategy="reference"`` as an always-available correctness oracle.
+All scoring runs through one forward kernel with a batch axis
+(:func:`_forward_pass`): padded symbols ``(B, T)`` become one
+cumulative-emission table ``(B, T+1, S)``, and each time slot is one step
+for the whole batch.  Per slot the admissible segment scores for *all*
+durations are assembled with one gather from that table and reduced with
+a single ``logsumexp``, and the entry mass ``in(t, j)`` is maintained
+incrementally instead of being recomputed per duration.  Each sequence's
+likelihood is read from its own ``alpha`` row at its own end index, so
+the padding past it is never read.  ``log_likelihood`` is the ``B = 1``
+case and the soft EM E-step reads the kernel's full ``B = 1`` tables.
+Every reduction runs along the same axis and in the same order for any
+batch, so a sequence's score is bit-identical whatever it is batched
+with.  Batches are sorted by length and scored in blocks of
+:data:`_BLOCK` sequences, which bounds the tables' memory.
+
+The soft-EM E-step accumulates segment posteriors duration-major: per
+duration ``d`` all starts are handled at once, and per-slot emission mass
+is recovered from a difference-array (cumulative range-update) instead of
+walking every symbol of every candidate segment -- dropping the E-step
+from ``O(T^2 * D * N)`` to ``O(T * D * N)``.  Log-parameters are memoized
+behind a parameter-version fingerprint so repeated scoring calls and the
+many table builds inside one EM iteration share a single ``_log_params``
+computation.
 """
 
 from __future__ import annotations
@@ -57,8 +65,10 @@ from repro.rng import ensure_rng
 _EPS = 1e-12
 _LOG_EPS = np.log(_EPS)
 
-#: Strategies accepted by the inference dispatcher.
-_STRATEGIES = ("vectorized", "reference")
+#: Sequences per forward-kernel block.  Scoring 1,000 sequences of 120
+#: symbols (S = 6, D = 8) peaks near 5 MB in blocks of 256 and near
+#: 19 MB unblocked; blocks of 128 halve the peak but cost 10-20% more.
+_BLOCK = 256
 
 
 def _default_duration_factory(max_duration: int) -> DiscreteDuration:
@@ -103,85 +113,95 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     """Lean log-sum-exp reduction.
 
-    ``scipy.special.logsumexp``'s array-API dispatch costs more than the
-    arithmetic on the small per-slot arrays this module reduces, so the
-    vectorized kernels use this minimal max-shifted implementation (the
-    reference strategy keeps scipy's, which computes the same value).
+    ``scipy.special.logsumexp``'s array-API dispatch, and even
+    ``np.max``/``np.sum``'s Python wrappers, cost more than the arithmetic
+    on the small per-slot arrays this module reduces, so the kernels use
+    this minimal max-shifted implementation on the bare ufunc reductions
+    (the same reductions ``np.max``/``np.sum`` run).  Callers run it under
+    ``np.errstate(divide="ignore", invalid="ignore")``, set once per pass
+    rather than once per call: a column that is all ``-inf`` computes
+    ``nan`` before it is set back to ``-inf``.
     """
-    m = np.max(a, axis=axis)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis))
-    return np.where(np.isfinite(m), out, m)
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    out = m + np.log(np.add.reduce(np.exp(a - m), axis=axis, keepdims=True))
+    if not np.isfinite(m).all():
+        out = np.where(np.isfinite(m), out, m)
+    return out.squeeze(axis)
 
 
 def _forward_pass(
-    obs: np.ndarray,
+    cum: np.ndarray,
     log_pi: np.ndarray,
     log_a: np.ndarray,
     log_d: np.ndarray,
-    cum: np.ndarray,
     max_duration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Duration-vectorized forward recursion.
+    """Duration-vectorized forward recursion over a batch of sequences.
 
-    Returns ``(alpha, in_log)`` where ``alpha[t, j]`` is the log-mass of
-    segments of state ``j`` ending exactly at ``t`` and ``in_log[s, j]``
-    is the log-mass of entering state ``j`` at slot ``s`` (the initial law
-    at ``s=0``, alpha-weighted transitions afterwards).  ``in_log`` is the
-    quantity the reference loop recomputed once per (t, d); here it is
-    maintained once per slot.
+    ``cum`` is the ``(B, T+1, S)`` table of :meth:`HiddenSemiMarkovModel.
+    _segment_emissions`.  Returns ``(alpha, in_log)``, both ``(B, T, S)``:
+    ``alpha[b, t, j]`` is the log-mass of segments of state ``j`` ending
+    exactly at ``t`` and ``in_log[b, s, j]`` is the log-mass of entering
+    state ``j`` at slot ``s`` (the initial law at ``s=0``, alpha-weighted
+    transitions afterwards).  Rows past a sequence's own length are
+    computed from its padding and must not be read.
+
+    The elementwise adds run in the per-sequence order, and the
+    reductions run along axis 1 (durations, then predecessor states),
+    not the contiguous state axis, so numpy accumulates them in index
+    order for every batch size: each sequence's rows are bit-identical
+    to scoring it alone.
     """
-    n = obs.size
-    n_states = log_pi.size
-    cum0 = np.vstack([np.zeros((1, n_states)), cum])  # cum0[s] = cum[s - 1]
+    n_seq, n_slots = cum.shape[0], cum.shape[1] - 1
     log_d_t = log_d.T  # (max_duration, n_states)
-    alpha = np.empty((n, n_states))
-    in_log = np.empty((n, n_states))
-    in_log[0] = log_pi
-    for t in range(n):
-        d_max = min(max_duration, t + 1)
-        # Row k corresponds to duration d = k + 1, i.e. start slot t - k.
-        starts = slice(t - d_max + 1, t + 1)
-        terms = (
-            in_log[starts][::-1]
-            + log_d_t[:d_max]
-            + (cum[t] - cum0[starts][::-1])
-        )
-        alpha[t] = _lse(terms, axis=0)
-        if t + 1 < n:
-            in_log[t + 1] = _lse(alpha[t][:, None] + log_a, axis=0)
+    alpha = np.empty((n_seq, n_slots, log_pi.size))
+    in_log = np.empty_like(alpha)
+    in_log[:, 0] = log_pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n_slots):
+            d_max = min(max_duration, t + 1)
+            # Row k corresponds to duration d = k + 1, i.e. start slot t - k.
+            starts = slice(t - d_max + 1, t + 1)
+            terms = (
+                in_log[:, starts][:, ::-1]
+                + log_d_t[:d_max]
+                + (cum[:, t + 1, None] - cum[:, starts][:, ::-1])
+            )
+            alpha[:, t] = _lse(terms, axis=1)
+            if t + 1 < n_slots:
+                in_log[:, t + 1] = _lse(alpha[:, t, :, None] + log_a, axis=1)
     return alpha, in_log
 
 
 def _backward_pass(
-    obs: np.ndarray,
+    cum: np.ndarray,
     log_a: np.ndarray,
     log_d: np.ndarray,
-    cum: np.ndarray,
     max_duration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Duration-vectorized backward recursion.
+    """Duration-vectorized backward recursion over one sequence.
 
-    Returns ``(beta, eta)``: ``beta[t, j]`` is the log-probability of
-    ``obs[t+1..]`` given a segment of ``j`` ends at ``t``; ``eta[s, j]``
-    is the log-mass of a segment of ``j`` starting at ``s`` followed by
-    the rest of the sequence (``eta[0]`` is unused).  ``eta`` is exactly
-    the per-boundary quantity the soft-EM transition posteriors need, so
-    the E-step reuses it instead of re-deriving it per boundary.
+    ``cum[t, j]`` is the log-probability that state ``j`` emitted
+    ``obs[0..t]``.  Returns ``(beta, eta)``: ``beta[t, j]`` is the
+    log-probability of ``obs[t+1..]`` given a segment of ``j`` ends at
+    ``t``; ``eta[s, j]`` is the log-mass of a segment of ``j`` starting at
+    ``s`` followed by the rest of the sequence (``eta[0]`` is unused).
+    ``eta`` is exactly the per-boundary quantity the soft-EM transition
+    posteriors need, so the E-step reuses it instead of re-deriving it per
+    boundary.
     """
-    n = obs.size
-    n_states = log_a.shape[0]
+    n, n_states = cum.shape
     beta = np.full((n, n_states), -np.inf)
     eta = np.full((n, n_states), -np.inf)
     beta[n - 1] = 0.0
     log_d_t = log_d.T
-    for t in range(n - 2, -1, -1):
-        d_max = min(max_duration, n - 1 - t)
-        ends = slice(t + 1, t + 1 + d_max)  # end slot for d = 1 .. d_max
-        terms = log_d_t[:d_max] + (cum[ends] - cum[t]) + beta[ends]
-        eta[t + 1] = _lse(terms, axis=0)
-        beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n - 2, -1, -1):
+            d_max = min(max_duration, n - 1 - t)
+            ends = slice(t + 1, t + 1 + d_max)  # end slot for d = 1 .. d_max
+            terms = log_d_t[:d_max] + (cum[ends] - cum[t]) + beta[ends]
+            eta[t + 1] = _lse(terms, axis=0)
+            beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
     return beta, eta
 
 
@@ -201,10 +221,6 @@ class HiddenSemiMarkovModel:
         defaults to nonparametric :class:`EmpiricalDuration`.
     rng:
         Generator for random initialization and sampling.
-    strategy:
-        ``"vectorized"`` (default) runs the duration-vectorized inference
-        core; ``"reference"`` runs the original per-duration Python loops
-        (the correctness oracle the equivalence tests compare against).
     """
 
     def __init__(
@@ -214,16 +230,12 @@ class HiddenSemiMarkovModel:
         max_duration: int = 10,
         duration_factory: Callable[[int], DiscreteDuration] | None = None,
         rng: np.random.Generator | None = None,
-        strategy: str = "vectorized",
     ) -> None:
         if n_states < 1 or n_symbols < 1:
             raise ModelError("need at least one state and one symbol")
-        if strategy not in _STRATEGIES:
-            raise ModelError(f"unknown inference strategy {strategy!r}")
         self.n_states = int(n_states)
         self.n_symbols = int(n_symbols)
         self.max_duration = int(max_duration)
-        self.strategy = strategy
         rng = ensure_rng(rng, default_seed=0)
         factory = duration_factory or _default_duration_factory
         self._duration_factory = factory
@@ -291,102 +303,16 @@ class HiddenSemiMarkovModel:
             self._params_version += 1
         return self._params_cache
 
-    def _segment_emissions(self, obs: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-        """Cumulative per-state emission log-probs.
+    def _segment_emissions(self, padded: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+        """Cumulative per-state emission log-probs of a ``(B, T)`` batch.
 
-        ``cum[t, j]`` is the log-probability that state ``j`` emitted
-        ``obs[0..t]``; segment scores are differences of this array.
+        ``cum[b, t, j]`` is the log-probability that state ``j`` emitted
+        the first ``t`` symbols of row ``b`` (``cum[b, 0] = 0``); segment
+        scores are differences of this ``(B, T+1, S)`` array.
         """
-        step = log_b[:, obs].T  # (T, n_states)
-        return np.cumsum(step, axis=0)
-
-    # ------------------------------------------------------------------
-    # Forward / backward tables (strategy dispatch)
-    # ------------------------------------------------------------------
-
-    def _forward_table(
-        self,
-        obs: np.ndarray,
-        params: LogParams | None = None,
-        cum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log forward table: ``alpha[t, j]`` = log P(obs[0..t], segment of
-        state ``j`` ends exactly at slot ``t``)."""
-        if params is None:
-            params = self._log_params()
-        if cum is None:
-            cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._forward_reference(obs, params, cum)
-        alpha, _ = _forward_pass(
-            obs, params.log_pi, params.log_a, params.log_d, cum, self.max_duration
-        )
-        return alpha
-
-    def _backward_table(
-        self,
-        obs: np.ndarray,
-        params: LogParams | None = None,
-        cum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log backward table: ``beta[t, j]`` = log P(obs[t+1..] | a segment
-        of state ``j`` ends exactly at slot ``t``)."""
-        if params is None:
-            params = self._log_params()
-        if cum is None:
-            cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._backward_reference(obs, params, cum)
-        beta, _ = _backward_pass(
-            obs, params.log_a, params.log_d, cum, self.max_duration
-        )
-        return beta
-
-    def _forward_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> np.ndarray:
-        """Original per-duration forward loop (correctness oracle)."""
-        log_pi, log_a, _, log_d = params
-        n = obs.size
-        alpha = np.full((n, self.n_states), -np.inf)
-        for t in range(n):
-            d_max = min(self.max_duration, t + 1)
-            # Contributions for each admissible duration d (vectorized over states).
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                start = t - d + 1
-                emis = cum[t] - (cum[start - 1] if start > 0 else 0.0)
-                dur = log_d[:, d - 1]
-                if start == 0:
-                    terms[d - 1] = log_pi + dur + emis
-                else:
-                    prev = logsumexp(
-                        alpha[start - 1][:, None] + log_a, axis=0
-                    )  # (n_states,)
-                    terms[d - 1] = prev + dur + emis
-            alpha[t] = logsumexp(terms, axis=0)
-        return alpha
-
-    def _backward_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> np.ndarray:
-        """Original per-duration backward loop (correctness oracle)."""
-        _, log_a, _, log_d = params
-        n = obs.size
-        beta = np.full((n, self.n_states), -np.inf)
-        beta[n - 1] = 0.0
-        for t in range(n - 2, -1, -1):
-            # eta[j'] = log P(a segment of j' starts at t+1 and the rest
-            # of the sequence follows).
-            d_max = min(self.max_duration, n - 1 - t)
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                end = t + d
-                emis = cum[end] - cum[t]
-                terms[d - 1] = log_d[:, d - 1] + emis + beta[end]
-            eta = logsumexp(terms, axis=0)  # (n_states,)
-            beta[t] = logsumexp(log_a + eta[None, :], axis=1)
-        return beta
+        cum = np.zeros((padded.shape[0], padded.shape[1] + 1, self.n_states))
+        np.cumsum(log_b.T[padded], axis=1, out=cum[:, 1:])
+        return cum
 
     # ------------------------------------------------------------------
     # Inference
@@ -398,43 +324,64 @@ class HiddenSemiMarkovModel:
         A segment boundary is assumed at the end of the sequence (the
         standard right-boundary convention for segment models).
         """
-        obs = self._check_sequence(sequence)
-        alpha = self._forward_table(obs)
-        return float(logsumexp(alpha[-1]))
+        return float(self.log_likelihood_batch([sequence])[0])
 
     def log_likelihood_batch(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-        """Log-likelihood of every sequence, sharing one parameter build.
+        """Log-likelihood of every sequence, in one batched forward pass.
 
-        The log-parameter tables and the strategy dispatch are resolved
-        once for the whole batch, then each sequence runs the forward pass.
+        Every sequence is validated before any kernel work.  The batch is
+        sorted by length and scored in blocks of :data:`_BLOCK` sequences
+        padded to the block's longest; the results come back in input
+        order, each bit-identical to scoring that sequence alone.
         """
         observations = [self._check_sequence(seq) for seq in sequences]
-        if not observations:
-            return np.empty(0)
-        params = self._log_params()
         out = np.empty(len(observations))
-        for i, obs in enumerate(observations):
-            cum = self._segment_emissions(obs, params.log_b)
-            alpha = self._forward_table(obs, params=params, cum=cum)
-            out[i] = logsumexp(alpha[-1])
+        if not observations:
+            return out
+        params = self._log_params()
+        order = np.argsort([obs.size for obs in observations], kind="stable")
+        for first in range(0, order.size, _BLOCK):
+            block = order[first : first + _BLOCK]
+            out[block] = self._score_block([observations[i] for i in block], params)
         return out
+
+    def _score_block(
+        self, observations: list[np.ndarray], params: LogParams
+    ) -> np.ndarray:
+        """Log-likelihoods of one block, padded to its longest sequence.
+
+        The padding symbol 0 is in the alphabet, so the rows past a
+        sequence's end stay finite; they are never read.  Returning from
+        here frees the block's tables before the next block allocates
+        its own, which keeps the batch's peak at one block's worth.
+        """
+        lengths = np.array([obs.size for obs in observations])
+        padded = np.zeros((lengths.size, lengths.max()), dtype=int)
+        for row, obs in enumerate(observations):
+            padded[row, : obs.size] = obs
+        alpha, _ = _forward_pass(
+            self._segment_emissions(padded, params.log_b),
+            params.log_pi,
+            params.log_a,
+            params.log_d,
+            self.max_duration,
+        )
+        return logsumexp(alpha[np.arange(lengths.size), lengths - 1], axis=-1)
 
     def viterbi(self, sequence: Sequence[int]) -> list[Segment]:
         """Most likely segmentation of ``sequence`` into state runs."""
         obs = self._check_sequence(sequence)
         params = self._log_params()
-        cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._viterbi_reference(obs, params, cum)
-        return self._viterbi_vectorized(obs, params, cum)
+        cum0 = self._segment_emissions(obs[None], params.log_b)[0]
+        return self._viterbi(obs, params, cum0)
 
-    def _viterbi_vectorized(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
+    def _viterbi(
+        self, obs: np.ndarray, params: LogParams, cum0: np.ndarray
     ) -> list[Segment]:
         log_pi, log_a, _, log_d = params
         n = obs.size
         n_states = self.n_states
-        cum0 = np.vstack([np.zeros((1, n_states)), cum])
+        cum = cum0[1:]
         log_d_t = log_d.T
         delta = np.empty((n, n_states))
         best_dur = np.zeros((n, n_states), dtype=int)
@@ -462,36 +409,6 @@ class HiddenSemiMarkovModel:
                 candidates = delta[t][:, None] + log_a
                 prev_arg[t + 1] = np.argmax(candidates, axis=0)
                 prev_val[t + 1] = candidates[prev_arg[t + 1], cols]
-        return self._viterbi_backtrack(n, delta, best_dur, best_prev)
-
-    def _viterbi_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> list[Segment]:
-        """Original per-duration Viterbi loop (correctness oracle)."""
-        log_pi, log_a, _, log_d = params
-        n = obs.size
-        delta = np.full((n, self.n_states), -np.inf)
-        best_dur = np.zeros((n, self.n_states), dtype=int)
-        best_prev = np.full((n, self.n_states), -1, dtype=int)
-        for t in range(n):
-            d_max = min(self.max_duration, t + 1)
-            for d in range(1, d_max + 1):
-                start = t - d + 1
-                emis = cum[t] - (cum[start - 1] if start > 0 else 0.0)
-                dur = log_d[:, d - 1]
-                if start == 0:
-                    scores = log_pi + dur + emis
-                    prev_state = np.full(self.n_states, -1, dtype=int)
-                else:
-                    candidates = delta[start - 1][:, None] + log_a
-                    prev_state = np.argmax(candidates, axis=0)
-                    scores = (
-                        candidates[prev_state, np.arange(self.n_states)] + dur + emis
-                    )
-                better = scores > delta[t]
-                delta[t][better] = scores[better]
-                best_dur[t][better] = d
-                best_prev[t][better] = prev_state[better]
         return self._viterbi_backtrack(n, delta, best_dur, best_prev)
 
     def _viterbi_backtrack(
@@ -650,10 +567,7 @@ class HiddenSemiMarkovModel:
             params = self._log_params()
             accumulators = (init_acc, trans_acc, emit_acc, dur_acc)
             for obs in observations:
-                if self.strategy == "reference":
-                    total_ll += self._soft_estep_reference(obs, params, accumulators)
-                else:
-                    total_ll += self._soft_estep_vectorized(obs, params, accumulators)
+                total_ll += self._soft_estep(obs, params, accumulators)
             # M-step.
             self.initial = init_acc / init_acc.sum()
             if self.n_states > 1:
@@ -670,7 +584,7 @@ class HiddenSemiMarkovModel:
         self._fitted = True
         return trace
 
-    def _soft_estep_vectorized(
+    def _soft_estep(
         self, obs: np.ndarray, params: LogParams, accumulators: tuple
     ) -> float:
         """Duration-major E-step in ``O(T * D * N)``.
@@ -687,13 +601,12 @@ class HiddenSemiMarkovModel:
         log_pi, log_a, log_b, log_d = params
         n = obs.size
         n_states = self.n_states
-        cum = self._segment_emissions(obs, log_b)
-        alpha, in_log = _forward_pass(
-            obs, log_pi, log_a, log_d, cum, self.max_duration
-        )
-        beta, eta = _backward_pass(obs, log_a, log_d, cum, self.max_duration)
+        cum0 = self._segment_emissions(obs[None], log_b)
+        alpha, in_log = _forward_pass(cum0, log_pi, log_a, log_d, self.max_duration)
+        alpha, in_log, cum0 = alpha[0], in_log[0], cum0[0]
+        cum = cum0[1:]
+        beta, eta = _backward_pass(cum, log_a, log_d, self.max_duration)
         log_likelihood = float(logsumexp(alpha[-1]))
-        cum0 = np.vstack([np.zeros((1, n_states)), cum])
         log_d_t = log_d.T
         pos_diff = np.zeros((n + 1, n_states))
         for d in range(1, min(self.max_duration, n) + 1):
@@ -726,60 +639,6 @@ class HiddenSemiMarkovModel:
                 - log_likelihood
             )
             trans_acc += np.exp(np.clip(log_xi, -700.0, 50.0)).sum(axis=0)
-        return log_likelihood
-
-    def _soft_estep_reference(
-        self, obs: np.ndarray, params: LogParams, accumulators: tuple
-    ) -> float:
-        """Original segment-major E-step loops (correctness oracle)."""
-        init_acc, trans_acc, emit_acc, dur_acc = accumulators
-        log_pi, log_a, log_b, log_d = params
-        n = obs.size
-        cum = self._segment_emissions(obs, log_b)
-        alpha = self._forward_reference(obs, params, cum)
-        beta = self._backward_reference(obs, params, cum)
-        log_likelihood = float(logsumexp(alpha[-1]))
-        # in_log[s, j]: log-mass of entering state j at slot s.
-        in_log = np.full((n, self.n_states), -np.inf)
-        in_log[0] = log_pi
-        for s in range(1, n):
-            in_log[s] = logsumexp(alpha[s - 1][:, None] + log_a, axis=0)
-        # Segment posteriors.
-        for s in range(n):
-            d_max = min(self.max_duration, n - s)
-            for d in range(1, d_max + 1):
-                end = s + d - 1
-                emis = cum[end] - (cum[s - 1] if s > 0 else 0.0)
-                log_w = (
-                    in_log[s]
-                    + log_d[:, d - 1]
-                    + emis
-                    + beta[end]
-                    - log_likelihood
-                )
-                w = np.exp(np.clip(log_w, -700.0, 50.0))
-                if not w.any():
-                    continue
-                dur_acc[:, d - 1] += w
-                if s == 0:
-                    init_acc += w
-                for symbol in obs[s : end + 1]:
-                    emit_acc[:, symbol] += w
-        # Transition posteriors at each boundary t -> t+1.
-        for t in range(n - 1):
-            # eta[j'] = log P(segment of j' starts at t+1, rest follows).
-            d_max = min(self.max_duration, n - 1 - t)
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                end = t + d
-                terms[d - 1] = (
-                    log_d[:, d - 1] + (cum[end] - cum[t]) + beta[end]
-                )
-            eta = logsumexp(terms, axis=0)
-            log_xi = (
-                alpha[t][:, None] + log_a + eta[None, :] - log_likelihood
-            )
-            trans_acc += np.exp(np.clip(log_xi, -700.0, 50.0))
         return log_likelihood
 
     def _randomize(self, rng: np.random.Generator) -> None:

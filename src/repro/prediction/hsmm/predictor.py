@@ -46,7 +46,6 @@ class HSMMPredictor(EventPredictor):
         max_iter: int = 12,
         seed: int = 0,
         algorithm: str = "hard",
-        strategy: str = "vectorized",
         telemetry: TelemetryHub = NULL_HUB,
     ) -> None:
         super().__init__()
@@ -54,8 +53,6 @@ class HSMMPredictor(EventPredictor):
             raise ConfigurationError("need at least one state per model")
         if algorithm not in ("hard", "soft"):
             raise ConfigurationError(f"unknown training algorithm {algorithm!r}")
-        if strategy not in ("vectorized", "reference"):
-            raise ConfigurationError(f"unknown inference strategy {strategy!r}")
         self.n_states_failure = n_states_failure
         self.n_states_nonfailure = n_states_nonfailure
         self.max_duration = max_duration
@@ -64,10 +61,9 @@ class HSMMPredictor(EventPredictor):
         self.max_iter = max_iter
         self.seed = seed
         self.algorithm = algorithm
-        self.strategy = strategy
         #: Profiling hub: scoring runs inside ``hsmm.score`` /
         #: ``hsmm.score_batch`` spans so the wall-vs-sim profile keeps the
-        #: vectorized hot path measurable in-situ.  Assignable after
+        #: batched forward kernel measurable in-situ.  Assignable after
         #: construction (the controller/scorer wires it at run time).
         self.telemetry = telemetry
         self.threshold = 0.0  # Bayes decision boundary
@@ -90,7 +86,6 @@ class HSMMPredictor(EventPredictor):
             max_duration=self.max_duration,
             duration_factory=self.duration_factory,
             rng=np.random.default_rng(self.seed),
-            strategy=self.strategy,
         )
         self.nonfailure_model = HiddenSemiMarkovModel(
             self.n_states_nonfailure,
@@ -98,7 +93,6 @@ class HSMMPredictor(EventPredictor):
             max_duration=self.max_duration,
             duration_factory=self.duration_factory,
             rng=np.random.default_rng(self.seed + 1),
-            strategy=self.strategy,
         )
         self.failure_model.fit(
             self.encoder.encode_many(failure_sequences),
@@ -124,7 +118,7 @@ class HSMMPredictor(EventPredictor):
         Bayes decision warns at score >= 0.
         """
         self._require_fitted()
-        with self.telemetry.span("hsmm.score", strategy=self.strategy):
+        with self.telemetry.span("hsmm.score"):
             symbols = self.encoder.encode(sequence)
             ll_failure = self.failure_model.log_likelihood(symbols)
             ll_nonfailure = self.nonfailure_model.log_likelihood(symbols)
@@ -135,16 +129,14 @@ class HSMMPredictor(EventPredictor):
     def score_sequences(self, sequences: list[EventSequence]) -> np.ndarray:
         """Batched scores: encode once, score both models over the batch.
 
-        The batch path shares one log-parameter build per model across all
-        sequences, which is what the online scorer and the evaluation
-        harness call in their hot loops.
+        Each model scores the whole batch in one batched forward pass
+        (bit-identical to scoring each sequence alone), which is what the
+        online scorer and the evaluation harness call in their hot loops.
         """
         self._require_fitted()
         if not sequences:
             return np.empty(0)
-        with self.telemetry.span(
-            "hsmm.score_batch", sequences=len(sequences), strategy=self.strategy
-        ):
+        with self.telemetry.span("hsmm.score_batch", sequences=len(sequences)):
             encoded = self.encoder.encode_many(sequences)
             ll_failure = self.failure_model.log_likelihood_batch(encoded)
             ll_nonfailure = self.nonfailure_model.log_likelihood_batch(encoded)

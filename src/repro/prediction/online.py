@@ -61,8 +61,8 @@ class OnlineEventScorer:
 
         Windows are extracted up-front and scored as one batch, so
         predictors with a batched ``score_sequences`` (e.g. the HSMM,
-        which shares one parameter build across the batch) score the whole
-        series without per-instant setup cost.  The result is identical to
+        which runs one forward recursion over the whole batch) score the
+        series without a per-instant pass.  The result is identical to
         calling :meth:`score_at` per instant.
         """
         instants = [float(t) for t in np.asarray(times, dtype=float)]

@@ -1,17 +1,24 @@
-"""Vectorized-vs-reference equivalence for the HSMM inference core.
+"""Kernel-vs-oracle equivalence for the HSMM inference core.
 
-The ``strategy="vectorized"`` hot path must reproduce the original loop
-implementations (kept behind ``strategy="reference"``) to within float
+The kernels must reproduce the original loop implementations (the
+oracles in ``tests/markov/hsmm_oracle.py``) to within float
 reassociation noise -- these tests pin that contract at 1e-8 on randomized
-models and sequences, for every inference primitive and both trainers.
+models and sequences, for every inference primitive and both trainers --
+and the batched forward kernel must reproduce the per-sequence forward
+loop it replaced byte for byte.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.markov import HiddenSemiMarkovModel, UniformDuration
-from repro.markov.hsmm import _default_duration_factory
+from repro.markov.hsmm import (
+    _BLOCK,
+    _backward_pass,
+    _default_duration_factory,
+    _forward_pass,
+)
+from tests.markov.hsmm_oracle import loop_log_likelihood, reference_twin
 
 
 def random_model(rng, n_states, n_symbols, max_duration):
@@ -29,10 +36,17 @@ def random_model(rng, n_states, n_symbols, max_duration):
     return model
 
 
-def reference_twin(model):
-    twin = model.clone()
-    twin.strategy = "reference"
-    return twin
+def kernel_tables(model, obs):
+    """``(alpha, beta)`` of one sequence from the production kernels."""
+    params = model._log_params()
+    cum0 = model._segment_emissions(obs[None], params.log_b)
+    alpha, _ = _forward_pass(
+        cum0, params.log_pi, params.log_a, params.log_d, model.max_duration
+    )
+    beta, _ = _backward_pass(
+        cum0[0, 1:], params.log_a, params.log_d, model.max_duration
+    )
+    return alpha[0], beta
 
 
 SHAPES = [
@@ -54,12 +68,9 @@ class TestInferenceEquivalence:
         model = random_model(rng, n_states, n_symbols, max_duration)
         ref = reference_twin(model)
         obs = rng.integers(0, n_symbols, size=seq_len)
-        np.testing.assert_allclose(
-            model._forward_table(obs), ref._forward_table(obs), atol=1e-8
-        )
-        np.testing.assert_allclose(
-            model._backward_table(obs), ref._backward_table(obs), atol=1e-8
-        )
+        alpha, beta = kernel_tables(model, obs)
+        np.testing.assert_allclose(alpha, ref.forward_table(obs), atol=1e-8)
+        np.testing.assert_allclose(beta, ref.backward_table(obs), atol=1e-8)
         assert model.log_likelihood(obs) == pytest.approx(
             ref.log_likelihood(obs), abs=1e-8
         )
@@ -80,9 +91,8 @@ class TestInferenceEquivalence:
         model = random_model(rng, 3, 4, max_duration=9)
         ref = reference_twin(model)
         obs = rng.integers(0, 4, size=4)  # T < D exercises the edge clamps
-        np.testing.assert_allclose(
-            model._forward_table(obs), ref._forward_table(obs), atol=1e-8
-        )
+        alpha, _ = kernel_tables(model, obs)
+        np.testing.assert_allclose(alpha, ref.forward_table(obs), atol=1e-8)
         assert model.viterbi(obs) == ref.viterbi(obs)
 
 
@@ -131,12 +141,27 @@ class TestBatchScoring:
         model = random_model(rng, 3, 5, max_duration=6)
         sequences = [rng.integers(0, 5, size=rng.integers(3, 30)) for _ in range(9)]
         batch = model.log_likelihood_batch(sequences)
-        singles = [model.log_likelihood(seq) for seq in sequences]
-        np.testing.assert_allclose(batch, singles, atol=1e-10)
+        singles = np.array([model.log_likelihood(seq) for seq in sequences])
+        assert batch.tobytes() == singles.tobytes()
 
     def test_batch_empty(self):
         model = HiddenSemiMarkovModel(2, 3)
         assert model.log_likelihood_batch([]).size == 0
+
+    @pytest.mark.parametrize("n_states,n_symbols,max_duration,seq_len", SHAPES)
+    def test_batch_bit_identical_to_per_sequence_loop(
+        self, n_states, n_symbols, max_duration, seq_len
+    ):
+        rng = np.random.default_rng(n_states * 31 + seq_len)
+        model = random_model(rng, n_states, n_symbols, max_duration)
+        # More sequences than one block, lengths from 1 to past seq_len.
+        sequences = [
+            rng.integers(0, n_symbols, size=rng.integers(1, 2 * seq_len))
+            for _ in range(_BLOCK + 7)
+        ]
+        batch = model.log_likelihood_batch(sequences)
+        loop = np.array([loop_log_likelihood(model, seq) for seq in sequences])
+        assert batch.tobytes() == loop.tobytes()
 
 
 class TestParameterCache:
@@ -165,11 +190,7 @@ class TestParameterCache:
         assert before != after
 
 
-class TestStrategySwitch:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ModelError):
-            HiddenSemiMarkovModel(2, 3, strategy="magic")
-
+class TestPickling:
     def test_default_factory_is_picklable(self):
         import pickle
 

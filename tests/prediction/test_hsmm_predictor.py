@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.monitoring.records import EventSequence
 from repro.prediction.hsmm import HSMMPredictor
 from repro.prediction.hsmm.predictor import hmm_ablation_predictor
+from tests.markov.hsmm_oracle import reference_twin
 
 
 def synthetic_sequences(rng, n_per_class=15):
@@ -140,31 +143,21 @@ class TestBatchScoring:
         _, (test_f, test_n) = sequence_data
         batch = fitted.score_sequences(test_f + test_n)
         singles = [fitted.score_sequence(s) for s in test_f + test_n]
-        np.testing.assert_allclose(batch, singles, atol=1e-10)
+        assert batch.tobytes() == np.array(singles).tobytes()
 
     def test_batch_empty(self, fitted):
         assert fitted.score_sequences([]).size == 0
 
-    def test_reference_strategy_agrees_with_vectorized(self, sequence_data):
-        (train_f, train_n), (test_f, test_n) = sequence_data
-        fast = HSMMPredictor(
-            n_states_failure=3, n_states_nonfailure=2, max_iter=4, seed=2
-        )
-        slow = HSMMPredictor(
-            n_states_failure=3, n_states_nonfailure=2, max_iter=4, seed=2,
-            strategy="reference",
-        )
-        fast.fit_sequences(train_f[:6], train_n[:6])
-        slow.fit_sequences(train_f[:6], train_n[:6])
+    def test_scores_agree_with_reference_loops(self, sequence_data, fitted):
+        _, (test_f, test_n) = sequence_data
+        oracle = copy.deepcopy(fitted)
+        oracle.failure_model = reference_twin(fitted.failure_model)
+        oracle.nonfailure_model = reference_twin(fitted.nonfailure_model)
         np.testing.assert_allclose(
-            fast.score_sequences(test_f[:4] + test_n[:4]),
-            slow.score_sequences(test_f[:4] + test_n[:4]),
+            fitted.score_sequences(test_f[:4] + test_n[:4]),
+            oracle.score_sequences(test_f[:4] + test_n[:4]),
             atol=1e-8,
         )
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HSMMPredictor(strategy="magic")
 
     def test_ablation_predictor_models_are_picklable(self, sequence_data):
         import pickle

@@ -1,10 +1,16 @@
 """Hypothesis property tests for the HMM/HSMM machinery."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ModelError
 from repro.markov import HiddenMarkovModel, HiddenSemiMarkovModel
+from repro.markov import hsmm as hsmm_module
+from repro.markov.hsmm import _BLOCK
 
 
 def symbol_sequences(n_symbols=3, min_len=2, max_len=20):
@@ -89,3 +95,84 @@ class TestHSMMProperties:
         assert len(observations) == length
         # Generated observations are scoreable.
         assert np.isfinite(model.log_likelihood(observations))
+
+
+#: Longest state duration of the batch-property models; sequences run
+#: from length 1 to well past it.
+BATCH_MAX_DURATION = 4
+
+
+def batch_model(n_states, seed):
+    rng = np.random.default_rng(seed)
+    model = HiddenSemiMarkovModel(
+        n_states, 3, max_duration=BATCH_MAX_DURATION, rng=rng
+    )
+    model._randomize(rng)
+    for dist in model.durations:
+        dist.fit(rng.random(BATCH_MAX_DURATION) + 0.05)
+    return model
+
+
+def batch_sequences(min_size=1, max_size=8):
+    return st.lists(
+        symbol_sequences(min_len=1, max_len=3 * BATCH_MAX_DURATION),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+class TestHSMMBatchProperties:
+    """The batched forward kernel scores each sequence as if it were alone."""
+
+    @given(
+        symbol_sequences(min_len=1, max_len=3 * BATCH_MAX_DURATION),
+        batch_sequences(min_size=0),
+        st.integers(0, 8),
+        st.booleans(),
+        st.integers(1, 4),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_padding_invariance(
+        self, target, companions, position, beyond_block, n_states, seed
+    ):
+        model = batch_model(n_states, seed)
+        if beyond_block and companions:
+            # Enough companions that the batch spans several blocks.
+            companions = companions * (_BLOCK // len(companions) + 1)
+        position = min(position, len(companions))
+        batch = companions[:position] + [target] + companions[position:]
+        alone = model.log_likelihood_batch([target])
+        scores = model.log_likelihood_batch(batch)
+        assert scores[position : position + 1].tobytes() == alone.tobytes()
+        reordered = model.log_likelihood_batch(batch[::-1])
+        assert reordered[::-1].tobytes() == scores.tobytes()
+
+    @given(batch_sequences(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_single(self, sequences, n_states, seed):
+        model = batch_model(n_states, seed)
+        batch = model.log_likelihood_batch(sequences)
+        singles = np.array([model.log_likelihood(seq) for seq in sequences])
+        assert batch.tobytes() == singles.tobytes()
+
+    def test_empty_batch(self):
+        assert batch_model(2, 0).log_likelihood_batch([]).shape == (0,)
+
+    @given(
+        batch_sequences(),
+        st.integers(0, 8),
+        st.sampled_from([[], [3], [-1], [0, 1, 7]]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_invalid_sequence_rejected_before_kernel(
+        self, sequences, position, invalid
+    ):
+        model = batch_model(2, 0)
+        position = min(position, len(sequences))
+        batch = sequences[:position] + [invalid] + sequences[position:]
+        with mock.patch.object(
+            hsmm_module, "_forward_pass", side_effect=AssertionError("kernel ran")
+        ):
+            with pytest.raises(ModelError):
+                model.log_likelihood_batch(batch)
