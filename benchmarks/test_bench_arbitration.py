@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.fleet import grid, run_fleet
 from repro.fleet.shards import clear_training_cache
 from repro.prediction.base import PredictionBatch
@@ -150,6 +151,7 @@ def test_bench_arbitration(tmp_path):
     parallel_doc = parallel.aggregate_json()
 
     record = {
+        "env": environment(),
         "config": {
             "panel": PANEL,
             "rows": n_rows,

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.resilience.campaign import (
     CampaignConfig,
     PFMFaultScenario,
@@ -128,6 +129,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
     disabled_overhead = (per_cycle * total_cycles) / wall_off
 
     record = {
+        "env": environment(),
         "config": {
             "horizon_days": HORIZON / 86_400.0,
             "seed": SEED,

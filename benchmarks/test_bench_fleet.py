@@ -43,6 +43,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.fleet import grid, run_fleet
 from repro.fleet.shards import clear_training_cache
 
@@ -103,6 +104,7 @@ def test_bench_fleet_parallel_equals_serial(tmp_path):
     required = min(MIN_SPEEDUP, PARALLEL_EFFICIENCY * parallelism)
 
     record = {
+        "env": environment(),
         "config": {
             "shards": SHARDS,
             "workers": WORKERS,

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.faults.chaos import ChaosConfig, crash_decision, parse_chaos
 from repro.fleet import grid, run_fleet
 from repro.fleet.shards import clear_training_cache
@@ -115,6 +116,7 @@ def test_bench_fleet_chaos_equals_clean_serial(tmp_path):
     recovery = chaotic.timing["recovery"]
 
     record = {
+        "env": environment(),
         "config": {
             "shards": SHARDS,
             "workers": WORKERS,

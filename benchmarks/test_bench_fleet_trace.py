@@ -36,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.faults.chaos import ChaosConfig, crash_decision
 from repro.fleet import grid, run_fleet
 from repro.fleet.shards import clear_training_cache
@@ -196,6 +197,7 @@ def test_bench_fleet_trace_does_not_perturb(tmp_path):
     disabled_overhead = (per_shard * SHARDS) / wall_off if wall_off else 0.0
 
     record = {
+        "env": environment(),
         "config": {
             "shards": SHARDS,
             "workers": WORKERS,

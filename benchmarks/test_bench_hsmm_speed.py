@@ -1,7 +1,7 @@
 """Bench: HSMM inference-core speedups.
 
-Two comparisons, written to ``BENCH_hsmm_speed.json`` next to this file
-with the environment (``cpu_count``, python, numpy) they were taken on:
+Three comparisons, written to ``BENCH_hsmm_speed.json`` next to this file
+with the environment they were taken on (``benchmarks/bench_env.py``):
 
 - **kernels vs loop oracle**: soft-EM training and batch scoring on the
   acceptance configuration (T=200 observations, N=4 states, D=10 max
@@ -13,18 +13,23 @@ with the environment (``cpu_count``, python, numpy) they were taken on:
   against one ``B = 1`` call per sequence.  The scores must be
   byte-identical and the batch at least 5x faster, so the batch axis
   cannot silently fall back to a per-sequence loop.
+- **online pair**: 1,000 panel-shaped ``B = 1`` windows (40-88 symbols,
+  the predictor's 6 + 4 states, D=8), each scored under both models in
+  one union ``log_likelihoods`` call against two single-model calls, as
+  one MEA cycle of the two-model predictor scores its window.  The scores
+  must be byte-identical and the union at least 1.5x faster.
 """
 
 import json
-import os
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_env import environment
 from repro.markov import HiddenSemiMarkovModel
+from repro.markov.hsmm import log_likelihoods
 from tests.markov.hsmm_oracle import ReferenceHSMM
 
 SEQ_LEN = 200
@@ -42,7 +47,16 @@ CROSS_STATES = 6
 CROSS_SYMBOLS = 20
 CROSS_MAX_DURATION = 8
 
+#: One MEA cycle's window pair: the predictor's two models, the online
+#: windows' length range.
+ONLINE_WINDOWS = 1000
+ONLINE_LENGTHS = (40, 88)
+ONLINE_STATES = (6, 4)
+
 MIN_SPEEDUP = 5.0
+#: A union call does all the work of either single-model call and more,
+#: so it can never reach 2x their sum: the gate sits below that ceiling.
+MIN_ONLINE_SPEEDUP = 1.5
 
 ARTIFACT = Path(__file__).with_name("BENCH_hsmm_speed.json")
 
@@ -102,6 +116,47 @@ def _cross_sequence():
     }
 
 
+def _online_pair():
+    """One union call per ``B = 1`` window against two single-model calls."""
+    rng = np.random.default_rng(5)
+    models = [
+        HiddenSemiMarkovModel(
+            n_states, CROSS_SYMBOLS, max_duration=CROSS_MAX_DURATION, rng=rng
+        )
+        for n_states in ONLINE_STATES
+    ]
+    low, high = ONLINE_LENGTHS
+    windows = [
+        rng.integers(0, CROSS_SYMBOLS, size=rng.integers(low, high + 1))
+        for _ in range(ONLINE_WINDOWS)
+    ]
+    log_likelihoods(models, windows[:1])  # build the cached parameters
+    union = np.empty((len(models), ONLINE_WINDOWS))
+    pair = np.empty_like(union)
+    union_s = pair_s = 0.0
+    # Interleaved per window, so a slow spell of the machine taxes both.
+    for i, window in enumerate(windows):
+        elapsed, union[:, i] = _timed(lambda: log_likelihoods(models, [window])[:, 0])
+        union_s += elapsed
+        elapsed, pair[:, i] = _timed(
+            lambda: [m.log_likelihood_batch([window])[0] for m in models]
+        )
+        pair_s += elapsed
+    assert union.tobytes() == pair.tobytes()
+    return {
+        "windows": ONLINE_WINDOWS,
+        "lengths": list(ONLINE_LENGTHS),
+        "n_states": list(ONLINE_STATES),
+        "n_symbols": CROSS_SYMBOLS,
+        "max_duration": CROSS_MAX_DURATION,
+        "union_s": union_s,
+        "two_calls_s": pair_s,
+        "union_ms_per_window": union_s / ONLINE_WINDOWS * 1e3,
+        "two_calls_ms_per_window": pair_s / ONLINE_WINDOWS * 1e3,
+        "speedup": pair_s / union_s,
+    }
+
+
 @pytest.mark.slow
 def test_bench_hsmm_vectorized_speedup(benchmark):
     sequences = _material()
@@ -132,6 +187,7 @@ def test_bench_hsmm_vectorized_speedup(benchmark):
     train_speedup = ref_train_s / vec_train_s
     score_speedup = ref_score_s / vec_score_s
     cross = _cross_sequence()
+    online = _online_pair()
 
     record = {
         "config": {
@@ -143,11 +199,7 @@ def test_bench_hsmm_vectorized_speedup(benchmark):
             "em_iterations": EM_ITERATIONS,
             "algorithm": "soft",
         },
-        "env": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "env": environment(),
         "soft_em": {
             "reference_s": ref_train_s,
             "vectorized_s": vec_train_s,
@@ -159,6 +211,7 @@ def test_bench_hsmm_vectorized_speedup(benchmark):
             "speedup": score_speedup,
         },
         "cross_sequence": cross,
+        "online_pair": online,
     }
     ARTIFACT.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -176,8 +229,15 @@ def test_bench_hsmm_vectorized_speedup(benchmark):
         f"{cross['single_calls_s']:.3f}s vs one batch {cross['batch_s']:.3f}s "
         f"-> {cross['speedup']:.1f}x"
     )
+    print(
+        f"online pair ({ONLINE_WINDOWS} windows): two calls "
+        f"{online['two_calls_ms_per_window']:.2f} ms vs one union call "
+        f"{online['union_ms_per_window']:.2f} ms -> {online['speedup']:.1f}x"
+    )
 
     # The vectorized soft-EM hot path is at least 5x faster than the loop
-    # oracle, and one batched call at least 5x faster than B=1 calls.
+    # oracle, one batched call at least 5x faster than B=1 calls, and one
+    # union call at least 2x faster than one call per model.
     assert train_speedup >= MIN_SPEEDUP
     assert cross["speedup"] >= MIN_SPEEDUP
+    assert online["speedup"] >= MIN_ONLINE_SPEEDUP

@@ -11,20 +11,17 @@ Two measurements:
 - **Cold serial wall time** of the same lint, as median and quartiles
   over :data:`TIMED_RUNS` runs (recorded, not gated).
 
-Writes ``BENCH_lint.json`` next to this file with the environment
-(``cpu_count``, python, numpy) the numbers were taken on.
+Writes ``BENCH_lint.json`` next to this file with the environment the
+numbers were taken on (``benchmarks/bench_env.py``).
 """
 
 import ast
 import json
-import os
-import platform
 import statistics
 import time
 from pathlib import Path
 
-import numpy as np
-
+from benchmarks.bench_env import environment
 from repro.devtools.lint.engine import LintResult, iter_python_files, lint_paths
 from repro.devtools.lint.rules import all_rules
 
@@ -93,11 +90,7 @@ def test_bench_lint_single_pass(monkeypatch):
 
     doc = {
         "bench": "lint",
-        "env": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "env": environment(),
         "config": {"paths": ["src"], "rules": len(all_rules())},
         "files_checked": counted.files_checked,
         "ast_nodes": nodes,

@@ -32,12 +32,21 @@ durations are assembled with one gather from that table and reduced with
 a single ``logsumexp``, and the entry mass ``in(t, j)`` is maintained
 incrementally instead of being recomputed per duration.  Each sequence's
 likelihood is read from its own ``alpha`` row at its own end index, so
-the padding past it is never read.  ``log_likelihood`` is the ``B = 1``
-case and the soft EM E-step reads the kernel's full ``B = 1`` tables.
-Every reduction runs along the same axis and in the same order for any
-batch, so a sequence's score is bit-identical whatever it is batched
-with.  Batches are sorted by length and scored in blocks of
-:data:`_BLOCK` sequences, which bounds the tables' memory.
+the padding past it is never read.  Every reduction runs along the same
+axis and in the same order for any batch, so a sequence's score is
+bit-identical whatever it is batched with.  Batches are sorted by length
+and scored in blocks of :data:`_BLOCK` sequences, which bounds the
+tables' memory.
+
+One function scores: :func:`log_likelihoods` runs any number of models
+as one pass over their block-diagonal union, whose cross-model
+transitions hold the finite :data:`_FLOOR`; they add exact ``+0.0``
+terms, so each model's score is bit-identical to scoring it alone.  The
+two-model predictor scores each window in one pass,
+``log_likelihood_batch`` is the one-model case, ``log_likelihood`` its
+``B = 1`` case, and the soft EM E-step reads the kernel's full ``B = 1``
+tables.  All log-parameters are finite, so the kernels carry no ``-inf``
+handling.
 
 The soft-EM E-step accumulates segment posteriors duration-major: per
 duration ``d`` all starts are handled at once, and per-slot emission mass
@@ -56,7 +65,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.errors import ModelError, NotFittedError
 from repro.markov.distributions import DiscreteDuration, EmpiricalDuration
@@ -65,10 +73,14 @@ from repro.rng import ensure_rng
 _EPS = 1e-12
 _LOG_EPS = np.log(_EPS)
 
-#: Sequences per forward-kernel block.  Scoring 1,000 sequences of 120
-#: symbols (S = 6, D = 8) peaks near 5 MB in blocks of 256 and near
-#: 19 MB unblocked; blocks of 128 halve the peak but cost 10-20% more.
-_BLOCK = 256
+#: Sequences per forward-kernel block.  On the panel's 10-state union
+#: (6 + 4 states, D = 8) and 1,012 windows of 20-122 symbols, blocks of
+#: 128 score fastest, 308 us/seq at a 3.8 MB peak; blocks of 64 take
+#: 345 us/seq (2.0 MB), 256 take 373 us/seq (7.8 MB), 512 peak at 16 MB.
+_BLOCK = 128
+
+#: Finite log-probability of the union's cross-model transitions.
+_FLOOR = -1e300
 
 
 def _default_duration_factory(max_duration: int) -> DiscreteDuration:
@@ -117,16 +129,32 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     ``np.max``/``np.sum``'s Python wrappers, cost more than the arithmetic
     on the small per-slot arrays this module reduces, so the kernels use
     this minimal max-shifted implementation on the bare ufunc reductions
-    (the same reductions ``np.max``/``np.sum`` run).  Callers run it under
-    ``np.errstate(divide="ignore", invalid="ignore")``, set once per pass
-    rather than once per call: a column that is all ``-inf`` computes
-    ``nan`` before it is set back to ``-inf``.
+    (the same reductions ``np.max``/``np.sum`` run).  It assumes finite
+    input: every log-parameter is ``log(x + _EPS)`` and the union's
+    cross-model transitions hold the finite :data:`_FLOOR`, so no ``-inf``
+    reaches it and no ``errstate`` guard is needed.
     """
     m = np.maximum.reduce(a, axis=axis, keepdims=True)
     out = m + np.log(np.add.reduce(np.exp(a - m), axis=axis, keepdims=True))
-    if not np.isfinite(m).all():
-        out = np.where(np.isfinite(m), out, m)
     return out.squeeze(axis)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1)`` for finite real ``a``.
+
+    A transcription of scipy's real-input ``_logsumexp`` (max, tie count
+    ``m``, ``log1p(s / m) + log(m) + max``), so the final scores keep
+    scipy's rounding bit for bit without its 120-140 us dispatch.  Each
+    row of ``a`` must be contiguous (a C-order array or a column slice of
+    one): numpy then sums every row pairwise, as scipy sums one row.
+    """
+    a_max = np.maximum.reduce(a, axis=-1, keepdims=True)
+    ties = a == a_max
+    m = np.add.reduce(ties, axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(ties, -np.inf, a) - a_max)
+    s = np.add.reduce(rest, axis=-1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
 
 
 def _forward_pass(
@@ -157,19 +185,18 @@ def _forward_pass(
     alpha = np.empty((n_seq, n_slots, log_pi.size))
     in_log = np.empty_like(alpha)
     in_log[:, 0] = log_pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(n_slots):
-            d_max = min(max_duration, t + 1)
-            # Row k corresponds to duration d = k + 1, i.e. start slot t - k.
-            starts = slice(t - d_max + 1, t + 1)
-            terms = (
-                in_log[:, starts][:, ::-1]
-                + log_d_t[:d_max]
-                + (cum[:, t + 1, None] - cum[:, starts][:, ::-1])
-            )
-            alpha[:, t] = _lse(terms, axis=1)
-            if t + 1 < n_slots:
-                in_log[:, t + 1] = _lse(alpha[:, t, :, None] + log_a, axis=1)
+    for t in range(n_slots):
+        d_max = min(max_duration, t + 1)
+        # Row k corresponds to duration d = k + 1, i.e. start slot t - k.
+        starts = slice(t - d_max + 1, t + 1)
+        terms = (
+            in_log[:, starts][:, ::-1]
+            + log_d_t[:d_max]
+            + (cum[:, t + 1, None] - cum[:, starts][:, ::-1])
+        )
+        alpha[:, t] = _lse(terms, axis=1)
+        if t + 1 < n_slots:
+            in_log[:, t + 1] = _lse(alpha[:, t, :, None] + log_a, axis=1)
     return alpha, in_log
 
 
@@ -195,13 +222,12 @@ def _backward_pass(
     eta = np.full((n, n_states), -np.inf)
     beta[n - 1] = 0.0
     log_d_t = log_d.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(n - 2, -1, -1):
-            d_max = min(max_duration, n - 1 - t)
-            ends = slice(t + 1, t + 1 + d_max)  # end slot for d = 1 .. d_max
-            terms = log_d_t[:d_max] + (cum[ends] - cum[t]) + beta[ends]
-            eta[t + 1] = _lse(terms, axis=0)
-            beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
+    for t in range(n - 2, -1, -1):
+        d_max = min(max_duration, n - 1 - t)
+        ends = slice(t + 1, t + 1 + d_max)  # end slot for d = 1 .. d_max
+        terms = log_d_t[:d_max] + (cum[ends] - cum[t]) + beta[ends]
+        eta[t + 1] = _lse(terms, axis=0)
+        beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
     return beta, eta
 
 
@@ -303,14 +329,15 @@ class HiddenSemiMarkovModel:
             self._params_version += 1
         return self._params_cache
 
-    def _segment_emissions(self, padded: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _segment_emissions(padded: np.ndarray, log_b: np.ndarray) -> np.ndarray:
         """Cumulative per-state emission log-probs of a ``(B, T)`` batch.
 
         ``cum[b, t, j]`` is the log-probability that state ``j`` emitted
         the first ``t`` symbols of row ``b`` (``cum[b, 0] = 0``); segment
         scores are differences of this ``(B, T+1, S)`` array.
         """
-        cum = np.zeros((padded.shape[0], padded.shape[1] + 1, self.n_states))
+        cum = np.zeros((padded.shape[0], padded.shape[1] + 1, log_b.shape[0]))
         np.cumsum(log_b.T[padded], axis=1, out=cum[:, 1:])
         return cum
 
@@ -327,46 +354,8 @@ class HiddenSemiMarkovModel:
         return float(self.log_likelihood_batch([sequence])[0])
 
     def log_likelihood_batch(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-        """Log-likelihood of every sequence, in one batched forward pass.
-
-        Every sequence is validated before any kernel work.  The batch is
-        sorted by length and scored in blocks of :data:`_BLOCK` sequences
-        padded to the block's longest; the results come back in input
-        order, each bit-identical to scoring that sequence alone.
-        """
-        observations = [self._check_sequence(seq) for seq in sequences]
-        out = np.empty(len(observations))
-        if not observations:
-            return out
-        params = self._log_params()
-        order = np.argsort([obs.size for obs in observations], kind="stable")
-        for first in range(0, order.size, _BLOCK):
-            block = order[first : first + _BLOCK]
-            out[block] = self._score_block([observations[i] for i in block], params)
-        return out
-
-    def _score_block(
-        self, observations: list[np.ndarray], params: LogParams
-    ) -> np.ndarray:
-        """Log-likelihoods of one block, padded to its longest sequence.
-
-        The padding symbol 0 is in the alphabet, so the rows past a
-        sequence's end stay finite; they are never read.  Returning from
-        here frees the block's tables before the next block allocates
-        its own, which keeps the batch's peak at one block's worth.
-        """
-        lengths = np.array([obs.size for obs in observations])
-        padded = np.zeros((lengths.size, lengths.max()), dtype=int)
-        for row, obs in enumerate(observations):
-            padded[row, : obs.size] = obs
-        alpha, _ = _forward_pass(
-            self._segment_emissions(padded, params.log_b),
-            params.log_pi,
-            params.log_a,
-            params.log_d,
-            self.max_duration,
-        )
-        return logsumexp(alpha[np.arange(lengths.size), lengths - 1], axis=-1)
+        """Log-likelihood of every sequence: the one-model :func:`log_likelihoods`."""
+        return log_likelihoods([self], sequences)[0]
 
     def viterbi(self, sequence: Sequence[int]) -> list[Segment]:
         """Most likely segmentation of ``sequence`` into state runs."""
@@ -606,7 +595,7 @@ class HiddenSemiMarkovModel:
         alpha, in_log, cum0 = alpha[0], in_log[0], cum0[0]
         cum = cum0[1:]
         beta, eta = _backward_pass(cum, log_a, log_d, self.max_duration)
-        log_likelihood = float(logsumexp(alpha[-1]))
+        log_likelihood = float(_logsumexp(alpha[-1]))
         log_d_t = log_d.T
         pos_diff = np.zeros((n + 1, n_states))
         for d in range(1, min(self.max_duration, n) + 1):
@@ -719,3 +708,60 @@ class HiddenSemiMarkovModel:
             f"HiddenSemiMarkovModel(n_states={self.n_states}, "
             f"n_symbols={self.n_symbols}, max_duration={self.max_duration})"
         )
+
+
+def log_likelihoods(
+    models: Sequence[HiddenSemiMarkovModel], sequences: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """``(len(models), B)`` log-likelihoods of every sequence under every model.
+
+    All models run as one HSMM, their block-diagonal union: stacked
+    ``log_pi``/``log_b``/``log_d`` and a block-diagonal ``log_a`` whose
+    cross-model entries hold :data:`_FLOOR`.  ``exp(_FLOOR - m)`` is
+    exactly ``0.0`` and the kernel reduces in index order, so a model's
+    states only gain ``+0.0`` terms.  Every sequence is validated before
+    any kernel work, and the batch is scored in length-sorted blocks of
+    :data:`_BLOCK`.  Each score is bit-identical to scoring that sequence
+    alone under that model alone (for a one-state model with
+    ``max_duration >= 8`` up to reassociation: alone, numpy sums its
+    contiguous duration terms pairwise).
+    """
+    first = models[0]
+    if any(
+        (m.n_symbols, m.max_duration) != (first.n_symbols, first.max_duration)
+        for m in models
+    ):
+        raise ModelError("models must share the alphabet and max_duration")
+    observations = [first._check_sequence(seq) for seq in sequences]
+    out = np.empty((len(models), len(observations)))
+    if not observations:
+        return out
+    parts = [m._log_params() for m in models]
+    sizes = [m.n_states for m in models]
+    owner = np.repeat(np.arange(len(models)), sizes)
+    log_a = np.full((owner.size, owner.size), _FLOOR)
+    log_a[owner[:, None] == owner] = np.concatenate([p.log_a.ravel() for p in parts])
+    log_pi = np.concatenate([p.log_pi for p in parts])
+    log_b = np.vstack([p.log_b for p in parts])
+    log_d = np.vstack([p.log_d for p in parts])
+    order = np.argsort([obs.size for obs in observations], kind="stable")
+    for start in range(0, order.size, _BLOCK):
+        block = order[start : start + _BLOCK]
+        lengths = np.array([observations[i].size for i in block])
+        # Padding symbol 0 is in the alphabet, so rows past a sequence's
+        # end stay finite; they are never read.
+        padded = np.zeros((block.size, lengths.max()), dtype=int)
+        for row, i in enumerate(block):
+            padded[row, : lengths[row]] = observations[i]
+        # Only the end rows outlive this statement, so each block's tables
+        # are freed before the next block allocates its own.
+        final = _forward_pass(
+            first._segment_emissions(padded, log_b),
+            log_pi,
+            log_a,
+            log_d,
+            first.max_duration,
+        )[0][np.arange(block.size), lengths - 1]
+        for k, part in enumerate(np.split(final, np.cumsum(sizes)[:-1], axis=1)):
+            out[k, block] = _logsumexp(part)
+    return out

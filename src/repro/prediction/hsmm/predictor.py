@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.markov.distributions import GeometricDuration
-from repro.markov.hsmm import HiddenSemiMarkovModel
+from repro.markov.hsmm import HiddenSemiMarkovModel, log_likelihoods
 from repro.monitoring.records import EventSequence
 from repro.prediction.base import EventPredictor, PredictorInfo
 from repro.prediction.hsmm.sequences import SequenceEncoder
@@ -119,38 +119,36 @@ class HSMMPredictor(EventPredictor):
         """
         self._require_fitted()
         with self.telemetry.span("hsmm.score"):
-            symbols = self.encoder.encode(sequence)
-            ll_failure = self.failure_model.log_likelihood(symbols)
-            ll_nonfailure = self.nonfailure_model.log_likelihood(symbols)
-            return (
-                ll_failure - ll_nonfailure
-            ) / len(symbols) + self.log_prior_ratio
+            return float(self._scores([self.encoder.encode(sequence)])[0])
 
     def score_sequences(self, sequences: list[EventSequence]) -> np.ndarray:
-        """Batched scores: encode once, score both models over the batch.
+        """Batched scores: encode once, score both models in one pass.
 
-        Each model scores the whole batch in one batched forward pass
-        (bit-identical to scoring each sequence alone), which is what the
-        online scorer and the evaluation harness call in their hot loops.
+        Both models score the whole batch in one forward pass over their
+        block-diagonal union (bit-identical to scoring each sequence
+        alone under each model alone), which is what the online scorer
+        and the evaluation harness call in their hot loops.
         """
         self._require_fitted()
         if not sequences:
             return np.empty(0)
         with self.telemetry.span("hsmm.score_batch", sequences=len(sequences)):
-            encoded = self.encoder.encode_many(sequences)
-            ll_failure = self.failure_model.log_likelihood_batch(encoded)
-            ll_nonfailure = self.nonfailure_model.log_likelihood_batch(encoded)
-            lengths = np.array([len(symbols) for symbols in encoded], dtype=float)
-            return (ll_failure - ll_nonfailure) / lengths + self.log_prior_ratio
+            return self._scores(self.encoder.encode_many(sequences))
 
     def sequence_likelihoods(self, sequence: EventSequence) -> tuple[float, float]:
         """Raw ``(log P(seq | failure), log P(seq | non-failure))``."""
         self._require_fitted()
         symbols = self.encoder.encode(sequence)
-        return (
-            self.failure_model.log_likelihood(symbols),
-            self.nonfailure_model.log_likelihood(symbols),
-        )
+        ll_failure, ll_nonfailure = self._log_likelihoods([symbols])[:, 0]
+        return float(ll_failure), float(ll_nonfailure)
+
+    def _log_likelihoods(self, encoded: list[list[int]]) -> np.ndarray:
+        return log_likelihoods([self.failure_model, self.nonfailure_model], encoded)
+
+    def _scores(self, encoded: list[list[int]]) -> np.ndarray:
+        ll_failure, ll_nonfailure = self._log_likelihoods(encoded)
+        lengths = np.array([len(symbols) for symbols in encoded], dtype=float)
+        return (ll_failure - ll_nonfailure) / lengths + self.log_prior_ratio
 
 
 def hmm_ablation_predictor(

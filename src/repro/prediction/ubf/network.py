@@ -101,9 +101,7 @@ class UBFNetwork:
 
         self._init_kernels(xs)
         self._optimize_kernels(xs, y)
-        self.weights = self._solve_weights(xs, y)
-        residual = self._predict_standardized(xs) - y
-        self.training_mse_ = float(np.mean(residual**2))
+        self.training_mse_ = self._fit_weights(self._design(xs), y)
         self._fitted = True
         return self
 
@@ -141,11 +139,13 @@ class UBFNetwork:
         )
         return np.column_stack([np.ones(k.shape[0]), k])
 
-    def _solve_weights(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        design = self._design(xs)
+    def _fit_weights(self, design: np.ndarray, y: np.ndarray) -> float:
+        """Ridge-solve ``self.weights`` on ``design``; return the training MSE."""
         gram = design.T @ design
         gram += self.ridge * np.eye(gram.shape[0])
-        return np.linalg.solve(gram, design.T @ y)
+        self.weights = np.linalg.solve(gram, design.T @ y)
+        residual = design @ self.weights - y
+        return float(np.mean(residual**2))
 
     def _pack_params(self) -> np.ndarray:
         parts = [self.gaussian_widths, self.sigmoid_widths, self.sigmoid_offsets]
@@ -168,10 +168,7 @@ class UBFNetwork:
 
         def objective(theta: np.ndarray) -> float:
             self._unpack_params(theta)
-            weights = self._solve_weights(xs, y)
-            design = self._design(xs)
-            residual = design @ weights - y
-            return float(np.mean(residual**2))
+            return self._fit_weights(self._design(xs), y)
 
         bounds = (
             [(1e-3, 50.0)] * k  # gaussian widths
@@ -213,9 +210,7 @@ class UBFNetwork:
             self.optimize_mixtures = optimize_mixtures
         xs = self._standardize(x)
         self._optimize_kernels(xs, y)
-        self.weights = self._solve_weights(xs, y)
-        residual = self._predict_standardized(xs) - y
-        self.training_mse_ = float(np.mean(residual**2))
+        self.training_mse_ = self._fit_weights(self._design(xs), y)
         return self
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from repro.errors import ModelError, NotFittedError
 from repro.markov import GeometricDuration, HiddenSemiMarkovModel, UniformDuration
-from repro.markov.hsmm import Segment
+from repro.markov.hsmm import Segment, log_likelihoods
 
 
 def make_model(n_states=2, n_symbols=3, max_duration=5, seed=0, factory=None):
@@ -60,6 +60,11 @@ class TestLikelihood:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(ModelError):
             make_model(n_symbols=2).log_likelihood([0, 5])
+
+    @pytest.mark.parametrize("other", [{"n_symbols": 4}, {"max_duration": 6}])
+    def test_union_rejects_mismatched_models(self, other):
+        with pytest.raises(ModelError):
+            log_likelihoods([make_model(), make_model(**other)], [[0, 1]])
 
     def test_total_probability_single_state(self):
         """One state, geometric-free: durations sum out over sequences."""

@@ -89,6 +89,12 @@ class TestClassification:
         ll_f, ll_n = fitted.sequence_likelihoods(test_f[0])
         assert ll_f > ll_n  # failure model prefers failure sequences
         assert ll_f < 0 and ll_n < 0
+        # The one union pass gives each model's own score, bit for bit.
+        symbols = fitted.encoder.encode(test_f[0])
+        assert (ll_f, ll_n) == (
+            fitted.failure_model.log_likelihood(symbols),
+            fitted.nonfailure_model.log_likelihood(symbols),
+        )
 
 
 class TestValidation:

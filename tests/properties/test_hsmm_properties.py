@@ -1,16 +1,23 @@
 """Hypothesis property tests for the HMM/HSMM machinery."""
 
+import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.markov import HiddenMarkovModel, HiddenSemiMarkovModel
+from repro.markov import (
+    EmpiricalDuration,
+    GeometricDuration,
+    HiddenMarkovModel,
+    HiddenSemiMarkovModel,
+)
 from repro.markov import hsmm as hsmm_module
-from repro.markov.hsmm import _BLOCK
+from repro.markov.hsmm import _BLOCK, log_likelihoods
+from tests.markov.hsmm_oracle import loop_log_likelihood
 
 
 def symbol_sequences(n_symbols=3, min_len=2, max_len=20):
@@ -176,3 +183,103 @@ class TestHSMMBatchProperties:
         ):
             with pytest.raises(ModelError):
                 model.log_likelihood_batch(batch)
+
+
+#: The union-property models use the panel's longest state duration.
+UNION_MAX_DURATION = 8
+UNION_SYMBOLS = 5
+UNION_MAX_LENGTH = 130
+#: Every length from 1 to the longest, in a batch that spans three blocks.
+CROSS_BLOCK_LENGTHS = [1 + (7 * i) % UNION_MAX_LENGTH for i in range(2 * _BLOCK + 44)]
+
+
+def union_model(n_states, seed, geometric):
+    rng = np.random.default_rng(seed)
+    factory = functools.partial(GeometricDuration, p=0.5) if geometric else None
+    model = HiddenSemiMarkovModel(
+        n_states,
+        UNION_SYMBOLS,
+        max_duration=UNION_MAX_DURATION,
+        duration_factory=factory,
+        rng=rng,
+    )
+    model._randomize(rng)
+    for dist in model.durations:
+        dist.fit(rng.random(UNION_MAX_DURATION) + 0.05)
+    return model
+
+
+def with_zeros(rng, rows, share):
+    """``rows`` with about ``share`` of its entries set to exactly zero."""
+    return np.where(rng.random(rows.shape) < share, 0.0, rows)
+
+
+class TestHSMMUnionProperties:
+    """One pass over the block-diagonal union scores each model as alone."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.one_of(
+            st.lists(st.integers(1, UNION_MAX_LENGTH), min_size=1, max_size=1),
+            st.lists(st.integers(1, UNION_MAX_LENGTH), min_size=2, max_size=300),
+        ),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @example(8, 8, CROSS_BLOCK_LENGTHS, False, 0)
+    @example(6, 4, CROSS_BLOCK_LENGTHS, True, 1)
+    @settings(max_examples=12, deadline=None)
+    def test_union_equals_oracle_per_model(
+        self, n_first, n_second, lengths, geometric, seed
+    ):
+        models = [
+            union_model(n_first, seed, geometric),
+            union_model(n_second, seed + 1, geometric),
+        ]
+        rng = np.random.default_rng(seed)
+        sequences = [rng.integers(0, UNION_SYMBOLS, size=n) for n in lengths]
+        union = log_likelihoods(models, sequences)
+        for model, scores in zip(models, union, strict=True):
+            oracle = np.array([loop_log_likelihood(model, seq) for seq in sequences])
+            if model.n_states > 1:
+                assert scores.tobytes() == oracle.tobytes()
+            else:
+                # Alone, a one-state model's duration terms lie on a
+                # contiguous axis, where numpy sums 8 or more terms
+                # pairwise; inside the union that axis is strided and
+                # summed in index order, so only reassociation differs.
+                np.testing.assert_allclose(scores, oracle, rtol=1e-13, atol=0)
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_log_params_finite_with_exact_zeros(self, n_states, shares, seed):
+        """Exact zeros in any parameter still give finite log-parameters.
+
+        This is why the kernels need no ``-inf`` fix-up: no ``log(0)``,
+        ``inf - inf`` or ``nan`` forms anywhere in a scoring pass.
+        """
+        rng = np.random.default_rng(seed)
+        model = HiddenSemiMarkovModel(
+            n_states, UNION_SYMBOLS, max_duration=UNION_MAX_DURATION, rng=rng
+        )
+        initial, transition, emission, duration = shares
+        model.initial = with_zeros(rng, model.initial, initial)
+        model.transition = with_zeros(rng, model.transition, transition)
+        model.emission = with_zeros(rng, model.emission, emission)
+        model.durations = [
+            EmpiricalDuration(
+                UNION_MAX_DURATION,
+                pmf=with_zeros(rng, rng.random(UNION_MAX_DURATION), duration),
+            )
+            for _ in range(n_states)
+        ]
+        assert all(np.isfinite(table).all() for table in model._log_params())
+        sequences = [rng.integers(0, UNION_SYMBOLS, size=n) for n in (1, 9, 40)]
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            scores = log_likelihoods([model, union_model(2, seed, False)], sequences)
+        assert np.isfinite(scores).all()
